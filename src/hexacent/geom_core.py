@@ -3,10 +3,20 @@
 Coordinates are either all fractions.Fraction (exact mode) or all float
 (floating mode); the mode is a property of each object and mixing modes
 inside one polygon is rejected.
+
+Exact mode computes on integers.  Polygon validation and the shoelace
+sums give each vertex its own homogeneous form (X, Y, d): integers with
+x = X/d, y = Y/d and d the lcm of the two coordinate denominators.  An
+orientation test is then the sign of the 3x3 determinant of three such
+rows, which is cross3 times the three positive d's.  The area and
+centroid sums keep one running denominator, widened only when a term's
+denominator does not divide it, so each result is a single Fraction built
+by one division at the end.
 """
 
 import math
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class GeomError(Exception): ...
@@ -146,6 +156,9 @@ class ConvexPolygon:
         if _trust:
             self.vertices = pts
             return
+        if exact:
+            self.vertices = _exact_convex(pts)
+            return
 
         # normalize to CCW
         area2 = _signed_area2(pts)
@@ -168,47 +181,15 @@ class ConvexPolygon:
         self.vertices = pts
 
     def _prune(self, pts):
-        # drop duplicate and collinear vertices; exact zero test in rational
-        # mode, 1e-12 * diam^2 tolerance in floating mode
-        if self.exact:
-            tol2 = 0
-        else:
-            d = _diameter(pts)
-            tol2 = 1e-12 * d * d
-        out = []
-        n = len(pts)
-        for i in range(n):
-            p = pts[i]
-            if out and p == out[-1]:
-                continue
-            out.append(p)
-        if len(out) > 1 and out[0] == out[-1]:
-            out.pop()
-        # collinearity must be re-tested against the surviving neighbor
-        # after each removal: two near-duplicate points each look
-        # collinear w.r.t. the other, and a stale-neighbor pass would
-        # drop both instead of merging them
-        def flat(a, b, c):
-            cr = cross3(a, b, c)
-            return cr == 0 if tol2 == 0 else abs(cr) <= tol2
+        # drop duplicate and collinear vertices within a 1e-12 * diam^2
+        # tolerance (floating mode; exact mode prunes in _exact_convex)
+        d = _diameter(pts)
+        tol2 = 1e-12 * d * d
 
-        changed = True
-        while changed and len(out) > 2:
-            changed = False
-            keep = []
-            for b in out:
-                while len(keep) >= 2 and flat(keep[-2], keep[-1], b):
-                    keep.pop()
-                    changed = True
-                keep.append(b)
-            while len(keep) > 2 and flat(keep[-2], keep[-1], keep[0]):
-                keep.pop()
-                changed = True
-            while len(keep) > 2 and flat(keep[-1], keep[0], keep[1]):
-                keep.pop(0)
-                changed = True
-            out = keep
-        return out
+        def flat(a, b, c):
+            return abs(cross3(a, b, c)) <= tol2
+
+        return _drop_flat(_drop_repeats(pts), flat)
 
     def __len__(self):
         return len(self.vertices)
@@ -230,6 +211,120 @@ class ConvexPolygon:
             if cross3(self.vertices[i], self.vertices[(i + 1) % n], p) < -tol:
                 return False
         return True
+
+
+def _drop_repeats(pts):
+    """Drop each vertex equal to its predecessor, cyclically."""
+    out = []
+    for p in pts:
+        if out and p == out[-1]:
+            continue
+        out.append(p)
+    if len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    return out
+
+
+def _drop_flat(out, flat):
+    """Drop the middle vertex of every triple that flat() calls collinear.
+
+    Collinearity must be re-tested against the surviving neighbor after
+    each removal: two near-duplicate points each look collinear w.r.t. the
+    other, and a stale-neighbor pass would drop both instead of merging
+    them.
+    """
+    changed = True
+    while changed and len(out) > 2:
+        changed = False
+        keep = []
+        for b in out:
+            while len(keep) >= 2 and flat(keep[-2], keep[-1], b):
+                keep.pop()
+                changed = True
+            keep.append(b)
+        while len(keep) > 2 and flat(keep[-2], keep[-1], keep[0]):
+            keep.pop()
+            changed = True
+        while len(keep) > 2 and flat(keep[-1], keep[0], keep[1]):
+            keep.pop(0)
+            changed = True
+        out = keep
+    return out
+
+
+def _homogeneous(pts):
+    """Exact points as integer triples (X, Y, d) with x = X/d, y = Y/d.
+
+    d = lcm(den x, den y) > 0.  The triple is in lowest terms, so equal
+    points give equal triples.
+    """
+    out = []
+    for p in pts:
+        x, y = p.x, p.y
+        dx, dy = x.denominator, y.denominator
+        if dx == dy:
+            out.append((x.numerator, y.numerator, dx))
+        else:
+            d = lcm(dx, dy)
+            out.append((x.numerator * (d // dx), y.numerator * (d // dy), d))
+    return out
+
+
+def _turn(a, b, c):
+    """det [a; b; c] of homogeneous rows = cross3 * da * db * dc."""
+    ax, ay, ad = a
+    bx, by, bd = b
+    cx, cy, cd = c
+    return (ax * (by * cd - cy * bd) - ay * (bx * cd - cx * bd)
+            + ad * (bx * cy - cx * by))
+
+
+def _flat_exact(a, b, c):
+    return _turn(a, b, c) == 0
+
+
+def _area2_scaled(h):
+    """Twice the signed area of homogeneous vertices h, times a positive
+    common denominator: an integer with the sign of the area."""
+    den = 1
+    a2 = 0
+    x0, y0, d0 = h[-1]
+    for x1, y1, d1 in h:
+        d = d0 * d1
+        if den % d:
+            m = d // gcd(den, d)
+            den *= m
+            a2 *= m
+        a2 += (x0 * y1 - y0 * x1) * (den // d)
+        x0, y0, d0 = x1, y1, d1
+    return a2
+
+
+def _exact_convex(pts):
+    """ConvexPolygon validation in exact mode: CCW order, repeated and
+    collinear vertices dropped, strict convexity checked, all on the
+    homogeneous integer forms of the vertices."""
+    h = _homogeneous(pts)
+    a2 = _area2_scaled(h)
+    if a2 < 0:
+        pts.reverse()
+        h.reverse()
+    if a2 == 0:
+        raise DegenerateInput("zero-area polygon")
+    point = {}
+    for t, p in zip(h, pts):
+        point.setdefault(t, p)
+    h = _drop_flat(_drop_repeats(h), _flat_exact)
+    if len(h) < 3:
+        raise DegenerateInput("polygon collapses after pruning")
+
+    n = len(h)
+    for i in range(n):
+        j, k = (i + 1) % n, (i + 2) % n
+        if _turn(h[i], h[j], h[k]) <= 0:
+            raise NonConvex(tuple(tuple(point[h[m]]) for m in (i, j, k)),
+                            (i, j, k))
+    return [point[t] for t in h]
 
 
 def _signed_area2(pts):
@@ -260,7 +355,13 @@ def polygon_area2(pts):
 
 def area_and_centroid(poly):
     """Shoelace area and area centroid; exact in rational mode."""
-    pts = poly.vertices if isinstance(poly, ConvexPolygon) else list(poly)
+    if isinstance(poly, ConvexPolygon):
+        pts, exact = poly.vertices, poly.exact
+    else:
+        pts = list(poly)
+        exact = all(p.exact for p in pts)
+    if exact and pts:
+        return _exact_area_and_centroid(_homogeneous(pts))
     n = len(pts)
     a2 = 0
     sx = 0
@@ -273,14 +374,35 @@ def area_and_centroid(poly):
         sy += (p.y + q.y) * cr
     if a2 == 0:
         raise DegenerateInput("zero-area polygon")
-    area = a2 / 2 if isinstance(a2, Fraction) else _half(a2)
-    return area, Point(sx / (3 * a2), sy / (3 * a2))
+    return a2 / 2, Point(sx / (3 * a2), sy / (3 * a2))
 
 
-def _half(v):
-    if isinstance(v, int):
-        return Fraction(v, 2)
-    return v / 2
+def _exact_area_and_centroid(h):
+    # twice the area is a2 / den and the moment sums are sx / den^2 and
+    # sy / den^2, so the centroid is sx / (3 a2 den)
+    den = 1
+    a2 = sx = sy = 0
+    x0, y0, d0 = h[-1]
+    for x1, y1, d1 in h:
+        d = d0 * d1
+        if den % d:
+            m = d // gcd(den, d)
+            den *= m
+            a2 *= m
+            m *= m
+            sx *= m
+            sy *= m
+        k = den // d
+        cr = (x0 * y1 - y0 * x1) * k
+        a2 += cr
+        cr *= k
+        sx += (x0 * d1 + x1 * d0) * cr
+        sy += (y0 * d1 + y1 * d0) * cr
+        x0, y0, d0 = x1, y1, d1
+    if a2 == 0:
+        raise DegenerateInput("zero-area polygon")
+    c = 3 * a2 * den
+    return Fraction(a2, 2 * den), Point(Fraction(sx, c), Fraction(sy, c))
 
 
 def composite_centroid(parts):

@@ -14,7 +14,7 @@ sign of the misalignment, so a zero of it always exists.
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .geom_core import (
     ConvexPolygon,
@@ -344,12 +344,26 @@ def inscribe(poly, n_angles=64):
     residual of 1e-7 of the diameter).  The smallest direction angle in
     [0, pi] that admits a hexagon is preferred.  Bodies with width below
     1e-6 of the diameter are rejected as too thin.
+
+    An exact body is moved, exactly, to put its first vertex at the origin
+    before it is converted to float, and the fit is moved back, so the
+    float work sees coordinates of the body's own size wherever the body
+    sits in the plane.
     """
     if not isinstance(poly, ConvexPolygon):
         raise GeomError("inscribe expects a ConvexPolygon")
-    if poly.exact:
-        poly = ConvexPolygon([Point(float(v.x), float(v.y))
-                              for v in poly.vertices])
+    if not poly.exact:
+        return _inscribe_float(poly, n_angles)
+    o = poly.vertices[0]
+    fit = _inscribe_float(ConvexPolygon(
+        [Point(float(v.x - o.x), float(v.y - o.y)) for v in poly.vertices]),
+        n_angles)
+    h = fit.hexagon
+    moved = AffineRegularHexagon(h.c + Point(float(o.x), float(o.y)), h.u, h.v)
+    return replace(fit, hexagon=moved)
+
+
+def _inscribe_float(poly, n_angles):
     diam = poly.diameter()
     if _min_width(poly) < 1e-6 * diam:
         raise ThinBody("body is too thin to inscribe reliably")

@@ -71,7 +71,7 @@ def dump_hexagon(h):
 
 
 def load_hexagon(obj):
-    if not isinstance(obj, dict) or set(obj) < {"center", "u", "v"}:
+    if not isinstance(obj, dict) or not {"center", "u", "v"} <= set(obj):
         raise GeomError('hexagon must be {"center", "u", "v"}')
     return AffineRegularHexagon(load_point(obj["center"]),
                                 load_point(obj["u"]),

@@ -2,7 +2,7 @@
 polynomials and sparse bivariate polynomials in (w, z)."""
 
 from fractions import Fraction
-from math import comb
+from math import lcm
 
 
 class UniPoly:
@@ -144,7 +144,7 @@ class BiPoly:
     Zero coefficients are never stored and the total degree stays at most 8,
     which covers every formula in the analysis."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_rows")
     MAX_TOTAL_DEGREE = 8
 
     def __init__(self, coeffs):
@@ -158,6 +158,7 @@ class BiPoly:
                                  % (i + j, self.MAX_TOTAL_DEGREE))
             out[(i, j)] = c
         self.coeffs = out
+        self._rows = None  # integer coefficient rows, built on exact call
 
     @classmethod
     def const(cls, c):
@@ -243,10 +244,44 @@ class BiPoly:
         return out
 
     def __call__(self, w, z):
+        if isinstance(w, (int, Fraction)) and isinstance(z, (int, Fraction)):
+            return self._call_exact(w, z)
         acc = 0
         for (i, j), c in self.coeffs.items():
             acc += c * w ** i * z ** j
         return acc
+
+    def _call_exact(self, w, z):
+        """Horner on integers: with w = a/b, z = p/q and den the common
+        denominator of the coefficients, den * b^m * q^n * P(w, z) is the
+        sum over i, j of the integers (den * c_ij) a^i b^(m-i) p^j q^(n-j),
+        where m and n are the degrees in w and z."""
+        if not self.coeffs:
+            return 0
+        if self._rows is None:
+            den = 1
+            for c in self.coeffs.values():
+                den = lcm(den, c.denominator)
+            m, n = self.degree_w, self.degree_z
+            rows = [[0] * (n + 1) for _ in range(m + 1)]
+            for (i, j), c in self.coeffs.items():
+                # highest power of w first, each row highest power of z first
+                rows[m - i][n - j] = c.numerator * (den // c.denominator)
+            self._rows = den, m, n, rows
+        den, m, n, rows = self._rows
+        a, b = w.numerator, w.denominator
+        p, q = z.numerator, z.denominator
+        acc = 0
+        bk = 1
+        for row in rows:
+            r = 0
+            qk = 1
+            for c in row:
+                r = r * p + c * qk
+                qk *= q
+            acc = acc * a + r * bk
+            bk *= b
+        return Fraction(acc, den * b ** m * q ** n)
 
     def deriv_w(self):
         return BiPoly({(i - 1, j): i * c
@@ -376,6 +411,3 @@ def resultant_z(p, q):
         mat.append([zero] * i + qc + [zero] * (size - n - 1 - i))
     return _poly_det(mat)
 
-
-def binomial(n, k):
-    return Fraction(comb(n, k))

@@ -375,19 +375,6 @@ def wedge_centroid_height(w, z):
     return (zf * (2.0 - 2.0 * wf) + 2.0) / (3.0 * wf)
 
 
-def cap_line_height(w, z):
-    """Height of the cap segment midpoint: (z(2-2w)/w + 1) / 2."""
-    if _exact_inputs(w, z):
-        wf, zf = F(w), F(z)
-        if wf <= 0:
-            raise DomainError("cap height w must be positive")
-        return (zf * (2 - 2 * wf) / wf + 1) / 2
-    wf, zf = float(w), float(z)
-    if wf <= 0:
-        raise DomainError("cap height w must be positive")
-    return (zf * (2.0 - 2.0 * wf) / wf + 1.0) / 2.0
-
-
 def pentagon_centroid_height(w):
     """Centroid height of the pentagon slice z = 1 of the family."""
     p = polys()

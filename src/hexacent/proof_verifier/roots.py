@@ -72,10 +72,3 @@ def isolate_single_root(p, lo, hi, samples=256, width=Fraction(1, 10 ** 12)):
     raise ValueError("expected one root in [%s, %s], found %d brackets"
                      " and %d exact hits"
                      % (lo, hi, len(brackets), len(hits)))
-
-
-def root_float(p, lo, hi, samples=256):
-    """Float midpoint of a refined single-root bracket."""
-    a, b = isolate_single_root(p, lo, hi, samples=samples,
-                               width=Fraction(1, 10 ** 14))
-    return float((a + b) / 2)

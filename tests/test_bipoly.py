@@ -125,3 +125,58 @@ def test_ring_homomorphism_at_points(a, b, x):
 @given(unis, points, points, points)
 def test_compose_linear_is_substitution(p, a, b, t):
     assert p.compose_linear(a, b)(t) == p(a + b * t)
+
+
+def term_sum(p, w, z):
+    """P(w, z) summed term by term in the order the coefficients are
+    stored."""
+    acc = 0
+    for (i, j), c in p.coeffs.items():
+        acc += c * w ** i * z ** j
+    return acc
+
+
+bipolys = st.dictionaries(
+    st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(
+        lambda k: k[0] + k[1] <= BiPoly.MAX_TOTAL_DEGREE),
+    st.fractions(min_value=-9, max_value=9, max_denominator=30),
+    max_size=12).map(BiPoly)
+exact_args = st.one_of(st.integers(-5, 5),
+                       st.fractions(min_value=-4, max_value=4,
+                                    max_denominator=40))
+float_args = st.floats(min_value=-4, max_value=4, allow_nan=False)
+
+
+class TestBiPolyCall:
+    def test_zero_polynomial(self):
+        zero = BiPoly({})
+        assert zero.is_zero()
+        for w, z in ((F(3, 7), F(-2, 5)), (2, -3), (0.5, 1.5)):
+            assert zero(w, z) == 0 == term_sum(zero, w, z)
+
+    def test_int_and_negative_arguments(self):
+        p = 3 * W ** 3 * Z - F(1, 6) * W * Z ** 4 + F(5, 4) * Z - 7
+        for w, z in ((2, 3), (-2, 5), (F(-3, 4), -1), (0, 0), (-1, F(-5, 9))):
+            got = p(w, z)
+            assert type(got) is F
+            assert got == term_sum(p, F(w), F(z))
+
+    def test_repeated_calls_reuse_rows(self):
+        p = F(2, 3) * W * W - F(1, 5) * Z + 1
+        first = p(F(1, 2), F(3, 4))
+        assert p(F(1, 2), F(3, 4)) == first == term_sum(p, F(1, 2), F(3, 4))
+        assert p(F(-7, 3), 2) == term_sum(p, F(-7, 3), F(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bipolys, exact_args, exact_args)
+def test_exact_call_matches_term_sum(p, w, z):
+    assert p(w, z) == term_sum(p, F(w), F(z))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bipolys, float_args, float_args)
+def test_float_call_is_bit_identical_to_term_sum(p, w, z):
+    got, want = p(w, z), term_sum(p, w, z)
+    assert type(got) is type(want)
+    assert repr(got) == repr(want)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexacent.geom_core import (
@@ -268,3 +268,146 @@ def test_hull_area_matches_triangulation(coords):
     v = hull.vertices
     fan = sum(cross3(v[0], v[i], v[i + 1]) for i in range(1, len(v) - 1))
     assert area == F(fan, 2)
+
+
+# Plain-Fraction reference for the exact kernel: the validation and the
+# shoelace written directly on Fraction coordinates.
+
+def _ref_cross(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def ref_convex(coords):
+    pts = [(F(x), F(y)) for x, y in coords]
+    area2 = sum(p[0] * q[1] - p[1] * q[0]
+                for p, q in zip(pts, pts[1:] + pts[:1]))
+    if area2 < 0:
+        pts.reverse()
+    if area2 == 0:
+        raise DegenerateInput("zero-area polygon")
+    out = []
+    for p in pts:
+        if not out or p != out[-1]:
+            out.append(p)
+    if len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    changed = True
+    while changed and len(out) > 2:
+        changed = False
+        keep = []
+        for b in out:
+            while len(keep) >= 2 and _ref_cross(keep[-2], keep[-1], b) == 0:
+                keep.pop()
+                changed = True
+            keep.append(b)
+        while len(keep) > 2 and _ref_cross(keep[-2], keep[-1], keep[0]) == 0:
+            keep.pop()
+            changed = True
+        while len(keep) > 2 and _ref_cross(keep[-1], keep[0], keep[1]) == 0:
+            keep.pop(0)
+            changed = True
+        out = keep
+    if len(out) < 3:
+        raise DegenerateInput("polygon collapses after pruning")
+    n = len(out)
+    for i in range(n):
+        j, k = (i + 1) % n, (i + 2) % n
+        if _ref_cross(out[i], out[j], out[k]) <= 0:
+            raise NonConvex((out[i], out[j], out[k]), (i, j, k))
+    return out
+
+
+def ref_area_and_centroid(coords):
+    pts = [(F(x), F(y)) for x, y in coords]
+    a2 = sx = sy = F(0)
+    for p, q in zip(pts, pts[1:] + pts[:1]):
+        cr = p[0] * q[1] - p[1] * q[0]
+        a2 += cr
+        sx += (p[0] + q[0]) * cr
+        sy += (p[1] + q[1]) * cr
+    if a2 == 0:
+        raise DegenerateInput("zero-area polygon")
+    return a2 / 2, (sx / (3 * a2), sy / (3 * a2))
+
+
+def _outcome(fn, arg):
+    try:
+        return ("ok", fn(arg))
+    except GeomError as e:
+        return (type(e), str(e), getattr(e, "triple", None),
+                getattr(e, "indices", None))
+
+
+def _kernel_convex(coords):
+    return [tuple(v) for v in ConvexPolygon([Point(x, y) for x, y in coords])]
+
+
+def _kernel_area(coords):
+    area, cen = area_and_centroid([Point(x, y) for x, y in coords])
+    return area, tuple(cen)
+
+
+# parabola points are in convex position and, taken left to right, form a
+# CCW convex polygon; the edits below break that in every way validation
+# has to see
+_xs = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=13),
+               min_size=3, max_size=9, unique=True)
+_edit = st.tuples(st.sampled_from(["reverse", "duplicate", "collinear",
+                                   "dent", "flatten", "rotate", "int"]),
+                  st.integers(0, 20),
+                  st.fractions(min_value=0, max_value=1, max_denominator=7))
+
+
+@st.composite
+def polygon_inputs(draw):
+    if draw(st.booleans()):
+        coord = st.one_of(st.integers(-3, 3),
+                          st.fractions(min_value=-3, max_value=3,
+                                       max_denominator=4))
+        return draw(st.lists(st.tuples(coord, coord), min_size=3,
+                             max_size=8))
+    pts = [(x, x * x) for x in sorted(draw(_xs))]
+    for op, i, t in draw(st.lists(_edit, max_size=4)):
+        i %= len(pts)
+        a, b = pts[i], pts[(i + 1) % len(pts)]
+        if op == "reverse":
+            pts.reverse()
+        elif op == "duplicate":
+            pts.insert(i, a)
+        elif op == "collinear":
+            pts.insert(i + 1, (a[0] + t * (b[0] - a[0]),
+                               a[1] + t * (b[1] - a[1])))
+        elif op == "dent":
+            n = len(pts)
+            pts[i] = (sum(p[0] for p in pts) / n, sum(p[1] for p in pts) / n)
+        elif op == "flatten":
+            pts = [(x, 2 * x + 1) for x, _ in pts]
+        elif op == "rotate":
+            pts = pts[i:] + pts[:i]
+        else:
+            pts = [tuple(int(c) if F(c).denominator == 1 else c for c in p)
+                   for p in pts]
+    return pts
+
+
+@settings(max_examples=400, deadline=None)
+@given(polygon_inputs())
+def test_exact_kernel_matches_fraction_reference(coords):
+    got = _outcome(_kernel_convex, coords)
+    assert got == _outcome(ref_convex, coords)
+    assert _outcome(_kernel_area, coords) == \
+        _outcome(ref_area_and_centroid, coords)
+    if got[0] == "ok":
+        area, cen = area_and_centroid(
+            ConvexPolygon([Point(x, y) for x, y in coords]))
+        assert type(area) is F and type(cen.x) is F and type(cen.y) is F
+        assert (area, tuple(cen)) == ref_area_and_centroid(got[1])
+
+
+def test_exact_kernel_distinct_denominators():
+    # vertex k of a 64-gon on a parabola has denominator 101 + k
+    pts = [(F(k * 7 - 220, 101 + k), F(k * 7 - 220, 101 + k) ** 2)
+           for k in range(64)]
+    assert len({x.denominator for x, _ in pts}) == 64
+    assert _kernel_convex(pts) == ref_convex(pts)
+    assert _kernel_area(pts) == ref_area_and_centroid(pts)

@@ -78,6 +78,10 @@ class TestPolygons:
             load_polygon({"points": []})
         with pytest.raises(GeomError):
             load_point(["1", "2", "3"])
+        with pytest.raises(GeomError):
+            load_hexagon({"foo": 1})
+        with pytest.raises(GeomError):
+            load_hexagon({"center": ["0", "0"], "u": ["1", "1"]})
 
     def test_load_applies_convexity_check(self):
         bad = {"vertices": [["0", "0"], ["2", "0"], ["1", "1/2"],
