@@ -22,6 +22,7 @@ from .geom_core import (
     convex_hull,
     cross3,
     gauge,
+    on_segment,
     point_segment_dist,
 )
 from .hexagon import AffineRegularHexagon, InscriptionFailed, inscribe
@@ -112,12 +113,16 @@ def support_parameter_w(body, tol=1e-7):
     is asserted to lie in [1 - tol, 2 + tol] and clamped to [1, 2]; exact
     input gives an exact Fraction.
     """
-    verts = body.vertices
+    return _support_w(body.vertices, body.exact, tol)
+
+
+def _support_w(verts, exact, tol):
+    """support_parameter_w on a CCW vertex list, exact or not."""
     n = len(verts)
-    a1 = Point(Fraction(1), Fraction(1)) if body.exact else Point(1.0, 1.0)
+    a1 = Point(Fraction(1), Fraction(1)) if exact else Point(1.0, 1.0)
     p = q = None
     for i, v in enumerate(verts):
-        if body.exact:
+        if exact:
             hit = v.x == 1 and v.y == 1
         else:
             hit = math.hypot(v.x - 1.0, v.y - 1.0) <= tol
@@ -127,10 +132,8 @@ def support_parameter_w(body, tol=1e-7):
     if p is None:
         for i in range(n):
             u, v = verts[i], verts[(i + 1) % n]
-            if body.exact:
-                on = (cross3(u, v, a1) == 0
-                      and min(u.x, v.x) <= 1 <= max(u.x, v.x)
-                      and min(u.y, v.y) <= 1 <= max(u.y, v.y))
+            if exact:
+                on = on_segment(a1, u, v)
             else:
                 on = point_segment_dist(a1, u, v) <= tol
             if on:
@@ -139,13 +142,13 @@ def support_parameter_w(body, tol=1e-7):
     if p is None:
         raise NotCanonical("(1, 1) is not on the body boundary")
     dx = q.x - p.x
-    if dx == 0 or (not body.exact and abs(dx) <= 1e-15 * max(1.0, abs(q.y - p.y))):
+    if dx == 0 or (not exact and abs(dx) <= 1e-15 * max(1.0, abs(q.y - p.y))):
         raise NotCanonical("supporting line at (1, 1) is vertical")
     w = (p.y * q.x - q.y * p.x) / dx
-    lo, hi = (1, 2) if body.exact else (1 - tol, 2 + tol)
+    lo, hi = (1, 2) if exact else (1 - tol, 2 + tol)
     if not lo <= w <= hi:
         raise NotCanonical("supporting line intercept %r outside [1, 2]" % (w,))
-    return min(max(w, 1), 2) if body.exact else float(min(max(w, 1.0), 2.0))
+    return min(max(w, 1), 2) if exact else float(min(max(w, 1.0), 2.0))
 
 
 def hexagon_gauge(hexagon, p):
@@ -205,12 +208,8 @@ def _extract_w(body, hexagon):
     M = hexagon.to_canonical()
     pts = [M.apply(v) for v in body.vertices]
     exact = body.exact and all(pt.exact for pt in pts)
-
-    class _V:  # minimal stand-in so support_parameter_w sees .vertices/.exact
-        vertices = pts
-    _V.exact = exact
     try:
-        return support_parameter_w(_V, tol=1e-5)
+        return _support_w(pts, exact, tol=1e-5)
     except NotCanonical:
         return None
 

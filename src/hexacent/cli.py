@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .centroid_bound import RATIO, check_theorem, monte_carlo
-from .geom_core import GeomError, Line, Point, cross3
+from .geom_core import GeomError, Line, Point, on_segment
 from .hexagon import AffineRegularHexagon, InscriptionFailed, inscribe
 from .io_json import (
     dump_bound_report,
@@ -70,18 +70,6 @@ def _coerce(poly, mode):
     return poly
 
 
-def _on_boundary(body, pt):
-    verts = body.vertices
-    n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        if cross3(a, b, pt) == 0 \
-                and min(a.x, b.x) <= pt.x <= max(a.x, b.x) \
-                and min(a.y, b.y) <= pt.y <= max(a.y, b.y):
-            return True
-    return False
-
-
 def _snap_hexagon(body, fit):
     """Rationalize a floating inscription for an exact body: round center
     and axes to nearby small rationals and keep the result only when all
@@ -96,7 +84,8 @@ def _snap_hexagon(body, fit):
         hexa = AffineRegularHexagon(*snapped)
     except GeomError:
         return None
-    if all(_on_boundary(body, v) for v in hexa.vertices):
+    edges = list(zip(body.vertices, body.vertices[1:] + body.vertices[:1]))
+    if all(any(on_segment(v, a, b) for a, b in edges) for v in hexa.vertices):
         return hexa
     return None
 

@@ -98,6 +98,13 @@ def cross3(a, b, c):
     return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
 
 
+def on_segment(p, a, b):
+    """Closed-segment membership of p in ab, exact for rational points."""
+    return (cross3(a, b, p) == 0
+            and min(a.x, b.x) <= p.x <= max(a.x, b.x)
+            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
+
+
 class Line:
     """a*x + b*y = c with (a,b) != (0,0)."""
 
@@ -328,23 +335,85 @@ def _exact_convex(pts):
 
 
 def _signed_area2(pts):
-    n = len(pts)
+    # cross products taken relative to the first vertex, so that floating
+    # coordinates far from the origin lose no more than their own size
+    if not pts:
+        return 0
+    o = pts[0]
     s = 0
-    for i in range(n):
-        s += pts[i].cross(pts[(i + 1) % n])
+    for p, q in zip(pts[1:], pts[2:]):
+        s += cross3(o, p, q)
     return s
 
 
+_CROSS_ERR = (3 + 16 * 2.0 ** -53) * 2.0 ** -53
+
+
+def _cross_sign(a, b, c, d):
+    """Exact sign of (b - a) x (d - c) for float pairs a, b, c, d.
+
+    The float value is trusted when it clears Shewchuk's error bound for
+    a two-product determinant of rounded differences; otherwise the
+    determinant is redone in Fractions, which hold floats exactly.
+    """
+    lft = (b[0] - a[0]) * (d[1] - c[1])
+    rgt = (b[1] - a[1]) * (d[0] - c[0])
+    det = lft - rgt
+    if abs(det) > _CROSS_ERR * (abs(lft) + abs(rgt)):
+        return (det > 0) - (det < 0)
+    a, b, c, d = ((Fraction(x), Fraction(y)) for x, y in (a, b, c, d))
+    det = (b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0])
+    return (det > 0) - (det < 0)
+
+
+def _monotone_chain(pts, turn):
+    """Andrew's monotone chain over sorted distinct points: their CCW
+    hull, without the points where turn(a, b, c) <= 0."""
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and turn(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(reversed(pts))
+
+
+def _float_hull(pts):
+    """Strictly convex CCW hull of the points as float pairs, from exact
+    turn signs; fewer than three pairs when the points are collinear."""
+    pts = sorted(set((float(p.x), float(p.y)) for p in pts))
+    if len(pts) < 3:
+        return pts
+    return _monotone_chain(pts, lambda a, b, c: _cross_sign(a, b, a, c))
+
+
+def _dist(p, q):
+    return math.hypot(p[0] - q[0], p[1] - q[1])
+
+
 def _diameter(pts):
+    """Largest distance between two of the points, as a float.
+
+    Rotating calipers (Shamos 1978): the farthest pair is antipodal on
+    the convex hull, and the vertex farthest from each hull edge only
+    moves forward as the edge goes round, so one pass visits every
+    antipodal pair.  Distances are taken on the float coordinates exactly
+    as an all-pairs loop takes them, so the result is that loop's float.
+    """
+    h = _float_hull(pts)
+    n = len(h)
+    if n < 3:
+        return _dist(h[0], h[-1]) if h else 0.0
     best = 0.0
-    n = len(pts)
+    j = 1
     for i in range(n):
-        for j in range(i + 1, n):
-            dx = float(pts[i].x) - float(pts[j].x)
-            dy = float(pts[i].y) - float(pts[j].y)
-            d = math.hypot(dx, dy)
-            if d > best:
-                best = d
+        a, b = h[i], h[(i + 1) % n]
+        while _cross_sign(a, b, h[j], h[(j + 1) % n]) > 0:
+            j = (j + 1) % n
+        best = max(best, _dist(a, h[j]), _dist(b, h[j]))
     return best
 
 
@@ -360,21 +429,24 @@ def area_and_centroid(poly):
     else:
         pts = list(poly)
         exact = all(p.exact for p in pts)
-    if exact and pts:
+    if not pts:
+        raise DegenerateInput("zero-area polygon")
+    if exact:
         return _exact_area_and_centroid(_homogeneous(pts))
-    n = len(pts)
+    # relative to the first vertex o, the two shoelace terms at o vanish
+    o = pts[0]
     a2 = 0
     sx = 0
     sy = 0
-    for i in range(n):
-        p, q = pts[i], pts[(i + 1) % n]
+    for p, q in zip(pts[1:], pts[2:]):
+        p, q = p - o, q - o
         cr = p.cross(q)
         a2 += cr
         sx += (p.x + q.x) * cr
         sy += (p.y + q.y) * cr
     if a2 == 0:
         raise DegenerateInput("zero-area polygon")
-    return a2 / 2, Point(sx / (3 * a2), sy / (3 * a2))
+    return a2 / 2, Point(o.x + sx / (3 * a2), o.y + sy / (3 * a2))
 
 
 def _exact_area_and_centroid(h):
@@ -427,19 +499,7 @@ def convex_hull(points):
     pts = sorted(set((p.x, p.y) for p in points))
     if len(pts) < 3:
         raise DegenerateInput("fewer than 3 distinct points")
-    pts = [Point(x, y) for x, y in pts]
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and cross3(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
+    hull = _monotone_chain([Point(x, y) for x, y in pts], cross3)
     if len(hull) < 3:
         raise DegenerateInput("all points collinear")
     return ConvexPolygon(hull)

@@ -106,6 +106,9 @@ class HexagonFit:
     edge_half_length: float
     alignment_error: float
     residual: float
+    # _alignment calls the inscription made: scan angles and refinement
+    # steps together
+    evaluations: int
 
 
 def _interp(ys, xs, y):
@@ -311,7 +314,7 @@ def _clamp(x, lo, hi):
     return lo if x < lo else (hi if x > hi else x)
 
 
-def _build_fit(poly, theta, g, data, diam):
+def _build_fit(poly, theta, g, data, diam, evaluations):
     s, y1, y2, m, xt, sig_t, xb, sig_b, xm = data
     want = 2 * (xm - (xt + xb) / 2)
     dt = _clamp(want, -sig_t, sig_t)
@@ -334,7 +337,8 @@ def _build_fit(poly, theta, g, data, diam):
             "inscribed hexagon misses the boundary by %.3g (diam %.3g)"
             % (residual, diam))
     return HexagonFit(hexagon=hexagon, angle=theta, edge_half_length=s,
-                      alignment_error=abs(g), residual=residual)
+                      alignment_error=abs(g), residual=residual,
+                      evaluations=evaluations)
 
 
 def inscribe(poly, n_angles=64):
@@ -345,19 +349,25 @@ def inscribe(poly, n_angles=64):
     [0, pi] that admits a hexagon is preferred.  Bodies with width below
     1e-6 of the diameter are rejected as too thin.
 
-    An exact body is moved, exactly, to put its first vertex at the origin
-    before it is converted to float, and the fit is moved back, so the
-    float work sees coordinates of the body's own size wherever the body
-    sits in the plane.
+    The scan walks the n_angles + 1 angles k*pi/n_angles upward.  It stops
+    at the first angle whose misalignment is zero within tolerance, and
+    refines each sign change as soon as it meets one; the first refinement
+    that converges gives the fit, and only a failed one lets the scan go
+    on.  HexagonFit.evaluations counts the misalignment evaluations.
+
+    The body is moved to put its first vertex at the origin before the
+    float work (exactly, for an exact body, before it is converted to
+    float), and the fit is moved back, so the float work sees coordinates
+    of the body's own size wherever the body sits in the plane.
     """
     if not isinstance(poly, ConvexPolygon):
         raise GeomError("inscribe expects a ConvexPolygon")
-    if not poly.exact:
-        return _inscribe_float(poly, n_angles)
     o = poly.vertices[0]
+    # a float body was validated as given; an exact one is validated, and
+    # pruned, once more as floats
     fit = _inscribe_float(ConvexPolygon(
-        [Point(float(v.x - o.x), float(v.y - o.y)) for v in poly.vertices]),
-        n_angles)
+        [Point(float(v.x - o.x), float(v.y - o.y)) for v in poly.vertices],
+        _trust=not poly.exact), n_angles)
     h = fit.hexagon
     moved = AffineRegularHexagon(h.c + Point(float(o.x), float(o.y)), h.u, h.v)
     return replace(fit, hexagon=moved)
@@ -379,26 +389,26 @@ def _inscribe_float(poly, n_angles):
             evals[theta] = _alignment(poly_xy, theta, diam)
         return evals[theta]
 
-    thetas = [k * math.pi / n_angles for k in range(n_angles + 1)]
-    brackets = []
+    def fit(t, g, data):
+        return _build_fit(poly, t, g, data, diam, len(evals))
+
     prev_t = None
     prev_g = None
-    for t in thetas:
+    bracketed = False
+    for k in range(n_angles + 1):
+        t = k * math.pi / n_angles
         g, data = g_at(t)
         if abs(g) <= tol_g:
-            return _build_fit(poly, t, g, data, diam)
+            return fit(t, g, data)
         if prev_g is not None and (g > 0) != (prev_g > 0):
-            brackets.append((prev_t, t))
+            bracketed = True
+            hit = _refine_bracket(g_at, prev_t, t, tol_g)
+            if hit is not None:
+                return fit(*hit)
         prev_t, prev_g = t, g
 
-    if not brackets:
+    if not bracketed:
         raise InscriptionFailed("no sign change found in the angle scan")
-
-    for ta, tb in brackets:
-        hit = _refine_bracket(g_at, ta, tb, tol_g)
-        if hit is not None:
-            t, g, data = hit
-            return _build_fit(poly, t, g, data, diam)
     raise InscriptionFailed("angle refinement did not converge")
 
 
@@ -437,15 +447,27 @@ def _refine_bracket(g_at, a, b, tol):
 
 
 def _min_width(poly):
+    """Smallest edge-to-vertex height: the width of a convex polygon.
+
+    One rotating-calipers pass (Toussaint 1983): the vertex farthest from
+    edge i only moves forward as i does.
+    """
     v = poly.vertices
     n = len(v)
     best = math.inf
+    j = 1
     for i in range(n):
         p, q = v[i], v[(i + 1) % n]
         ex, ey = q.x - p.x, q.y - p.y
         L = math.hypot(ex, ey)
         if L == 0:
             continue
-        h = max(abs((w.x - p.x) * ey - (w.y - p.y) * ex) for w in v) / L
-        best = min(best, h)
+
+        def height(w):
+            return abs((w.x - p.x) * ey - (w.y - p.y) * ex)
+
+        # p and q have height exactly 0, so the walk stops short of them
+        while height(v[(j + 1) % n]) > height(v[j]):
+            j = (j + 1) % n
+        best = min(best, height(v[j]) / L)
     return best

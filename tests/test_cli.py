@@ -91,6 +91,18 @@ class TestCheck:
         assert gauges[0] == "4357/81900"
         assert abs(float(gauges[1]) - 4357 / 81900) < 1e-6
 
+    def test_float_body_far_from_origin(self, capsys, tmp_path):
+        quad = [(0, 0), (3, 0), (4, 2), (1, 3)]
+        for shift in (0, 10 ** 9):
+            p = tmp_path / ("quad%d.json" % shift)
+            p.write_text(json.dumps({"vertices": [
+                [str(x + shift), str(y + shift)] for x, y in quad]}))
+            code, out, _ = run_cli(capsys, "--mode", "float", "check", str(p))
+            doc = json.loads(out)
+            assert code == 0
+            assert doc["verdict"] == "contained"
+            assert abs(float(doc["gauge"]) - 4357 / 81900) < 1e-6
+
     def test_float_coords_rejected_in_exact_mode(self, capsys, tmp_path):
         p = tmp_path / "float_box.json"
         p.write_text(json.dumps(FLOAT_BOX))

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from hexacent.geom_core import (
     NonConvex,
     Parallel,
     Point,
+    _diameter,
     apply_map,
     area_and_centroid,
     boundary_distance,
@@ -23,6 +26,7 @@ from hexacent.geom_core import (
     gauge,
     homothet,
     line_intersect,
+    on_segment,
     polygon_area2,
     supporting_cone,
 )
@@ -411,3 +415,70 @@ def test_exact_kernel_distinct_denominators():
     assert len({x.denominator for x, _ in pts}) == 64
     assert _kernel_convex(pts) == ref_convex(pts)
     assert _kernel_area(pts) == ref_area_and_centroid(pts)
+
+
+# All-pairs reference for the rotating-calipers _diameter: the loop it
+# replaced, on the same float coordinates.
+
+def ref_diameter(pts):
+    best = 0.0
+    for i, p in enumerate(pts):
+        for q in pts[i + 1:]:
+            best = max(best, math.hypot(float(p.x) - float(q.x),
+                                        float(p.y) - float(q.y)))
+    return best
+
+
+@st.composite
+def float_point_sets(draw):
+    """Float points in any order, with repeats and collinear runs."""
+    coord = st.floats(min_value=-100, max_value=100, allow_nan=False)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=24))
+    for op, i, t in draw(st.lists(st.tuples(
+            st.sampled_from(["duplicate", "run", "shift"]),
+            st.integers(0, 30), st.floats(0, 1)), max_size=4)):
+        i %= len(pts)
+        (ax, ay), (bx, by) = pts[i], pts[(i + 1) % len(pts)]
+        if op == "duplicate":
+            pts.insert(draw(st.integers(0, len(pts))), pts[i])
+        elif op == "run":
+            k = draw(st.integers(1, 6))
+            pts[i + 1:i + 1] = [(ax + j / (k + 1) * (bx - ax),
+                                 ay + j / (k + 1) * (by - ay))
+                                for j in range(1, k + 1)]
+        else:
+            pts = [(x + 1e9 * t, y - 1e9 * t) for x, y in pts]
+    return [Point(x, y) for x, y in draw(st.permutations(pts))]
+
+
+class TestDiameter:
+    @settings(max_examples=400, deadline=None)
+    @given(float_point_sets())
+    def test_float_points_match_all_pairs(self, pts):
+        assert _diameter(pts) == ref_diameter(pts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(polygon_inputs())
+    def test_exact_points_match_all_pairs(self, coords):
+        pts = [Point(F(x), F(y)) for x, y in coords]
+        assert _diameter(pts) == ref_diameter(pts)
+
+    def test_ties_and_degenerate_sets(self):
+        for n in range(3, 41):
+            ring = [Point(math.cos(2 * math.pi * k / n),
+                          math.sin(2 * math.pi * k / n)) for k in range(n)]
+            assert _diameter(ring) == ref_diameter(ring)
+        rng = random.Random(5)
+        box = [P(x, y) for x in range(4) for y in range(3)]
+        rng.shuffle(box)
+        assert _diameter(box) == ref_diameter(box) == math.hypot(3, 2)
+        line = [P(k, 2 * k) for k in (3, -1, 0, 2, 2)]
+        assert _diameter(line) == ref_diameter(line)
+        assert _diameter([P(1, 1)] * 3) == _diameter([]) == 0.0
+
+
+def test_on_segment():
+    a, b = P(0, 0), P(2, 4)
+    assert on_segment(P(1, 2), a, b) and on_segment(a, a, b)
+    assert not on_segment(P(3, 6), a, b)
+    assert not on_segment(P(1, F(2) + F(1, 10 ** 9)), a, b)

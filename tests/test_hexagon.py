@@ -14,9 +14,12 @@ from hexacent.geom_core import (
     convex_hull,
     polygon_area2,
 )
+from hexacent import hexagon
+from hexacent.centroid_bound import check_theorem
 from hexacent.hexagon import (
     AffineRegularHexagon,
     ThinBody,
+    _min_width,
     inscribe,
 )
 
@@ -161,3 +164,104 @@ def test_inscription_properties(coords):
     assert fit.residual <= 1e-7 * d
     area, _ = area_and_centroid(body)
     assert 0 < fit.hexagon.area() <= float(area) + 1e-9
+
+
+class TestScan:
+    QUAD = [(0, 0), (3, 0), (4, 2), (1, 3)]
+
+    def test_scan_stops_at_first_sign_change(self, monkeypatch):
+        thetas = []
+        real = hexagon._alignment
+
+        def counted(poly_xy, theta, diam):
+            thetas.append(theta)
+            return real(poly_xy, theta, diam)
+
+        monkeypatch.setattr(hexagon, "_alignment", counted)
+        fit = inscribe(ConvexPolygon([P(x, y) for x, y in self.QUAD]))
+        # the misalignment changes sign between scan angles 8 and 9 of 64
+        assert 8 * math.pi / 64 < fit.angle < 9 * math.pi / 64
+        assert fit.evaluations == len(thetas) < 65
+        assert max(thetas) == 9 * math.pi / 64
+
+    def test_exact_grid_hit_takes_one_evaluation(self):
+        assert inscribe(canon().polygon()).evaluations == 1
+
+
+# O(n^2) reference for the rotating-calipers _min_width: the loop it
+# replaced.
+
+def ref_min_width(poly):
+    v = poly.vertices
+    n = len(v)
+    best = math.inf
+    for i in range(n):
+        p, q = v[i], v[(i + 1) % n]
+        ex, ey = q.x - p.x, q.y - p.y
+        L = math.hypot(ex, ey)
+        if L == 0:
+            continue
+        h = max(abs((w.x - p.x) * ey - (w.y - p.y) * ex) for w in v) / L
+        best = min(best, h)
+    return best
+
+
+@st.composite
+def convex_bodies(draw):
+    """Float hulls of random points, squashed to thin ones or with
+    near-parallel edges."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(["blob", "thin", "ring"]))
+    if kind == "ring":
+        # a regular 2m-gon has parallel opposite edges; jitter makes them
+        # nearly parallel
+        m = rng.randrange(2, 20)
+        jit = draw(st.sampled_from([0.0, 1e-12, 1e-6]))
+        pts = [(math.cos(math.pi * k / m) + jit * rng.random(),
+                math.sin(math.pi * k / m)) for k in range(2 * m)]
+    else:
+        squash = 1.0 if kind == "blob" else 10.0 ** -rng.randrange(3, 9)
+        pts = [(rng.uniform(-5, 5), squash * rng.uniform(-5, 5))
+               for _ in range(rng.randrange(3, 40))]
+    t = rng.uniform(0, math.pi)
+    c, s = math.cos(t), math.sin(t)
+    try:
+        return convex_hull([Point(x * c - y * s, x * s + y * c)
+                            for x, y in pts])
+    except DegenerateInput:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(convex_bodies())
+def test_min_width_matches_quadratic_reference(body):
+    if body is None:
+        return
+    # the calipers stop at the first of several vertices whose heights
+    # tie up to rounding, so the two agree to rounding of the diameter
+    assert abs(_min_width(body) - ref_min_width(body)) \
+        <= 1e-13 * body.diameter()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+                min_size=3, max_size=14),
+       st.sampled_from([1000.0, 2.0 ** 30, -2.0 ** 30]))
+def test_float_inscription_is_translation_invariant(coords, shift):
+    try:
+        body = convex_hull([Point(float(x), float(y)) for x, y in coords])
+    except DegenerateInput:
+        return
+    moved = ConvexPolygon([Point(v.x + shift, v.y - shift) for v in body])
+    fit, fit_m = inscribe(body), inscribe(moved)
+    d = body.diameter()
+    # what moving the body may change is the rounding of the coordinates
+    # that carry the shift
+    ulp = math.ulp(shift)
+    assert fit_m.residual <= 1e-7 * d
+    for p, q in zip(fit.hexagon.vertices, fit_m.hexagon.vertices):
+        assert close(p, Point(q.x - shift, q.y + shift), 1e-9 * d + 4 * ulp)
+    chk, chk_m = check_theorem(body, fit=fit), check_theorem(moved, fit=fit_m)
+    assert chk.verdict == chk_m.verdict == "contained"
+    assert abs(chk.gauge_value - chk_m.gauge_value) \
+        <= 1e-9 + 100 * ulp / _min_width(body)
