@@ -62,8 +62,11 @@ def _read_polygon(path, mode):
 def _coerce(poly, mode):
     from .geom_core import ConvexPolygon
     if mode == "float" and poly.exact:
-        return ConvexPolygon([Point(float(v.x), float(v.y))
-                              for v in poly.vertices])
+        try:
+            pts = [Point(float(v.x), float(v.y)) for v in poly.vertices]
+        except OverflowError:
+            raise _CliError("coordinates exceed the float range")
+        return ConvexPolygon(pts)
     if mode == "exact" and not poly.exact:
         raise _CliError("exact mode needs rational coordinates "
                         "(\"p/q\" or integer strings)")

@@ -99,10 +99,13 @@ def cross3(a, b, c):
 
 
 def on_segment(p, a, b):
-    """Closed-segment membership of p in ab, exact for rational points."""
-    return (cross3(a, b, p) == 0
-            and min(a.x, b.x) <= p.x <= max(a.x, b.x)
-            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
+    """Closed-segment membership of p in ab, exact for rational points.
+
+    The bounding box is tested first: it rejects most edges with
+    comparisons alone, before any products are formed."""
+    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
+            and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+            and cross3(a, b, p) == 0)
 
 
 class Line:
@@ -180,11 +183,16 @@ class ConvexPolygon:
             raise DegenerateInput("polygon collapses after pruning")
 
         n = len(pts)
+        up = pts[0].y > pts[-1].y
+        rises = 0
         for i in range(n):
             a, b, c = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
             if cross3(a, b, c) <= 0:
                 raise NonConvex((tuple(a), tuple(b), tuple(c)),
                                 (i, (i + 1) % n, (i + 2) % n))
+            was, up = up, b.y > a.y
+            rises += up and not was
+        _check_winding(rises)
         self.vertices = pts
 
     def _prune(self, pts):
@@ -326,12 +334,31 @@ def _exact_convex(pts):
         raise DegenerateInput("polygon collapses after pruning")
 
     n = len(h)
+    up = h[1][1] * h[0][2] > h[0][1] * h[1][2]
+    rises = 0
     for i in range(n):
         j, k = (i + 1) % n, (i + 2) % n
-        if _turn(h[i], h[j], h[k]) <= 0:
+        (ax, ay, ad), (bx, by, bd), (cx, cy, cd) = h[i], h[j], h[k]
+        # _turn(h[i], h[j], h[k]) written out: its first minor is
+        # (y_b - y_c) * bd * cd, which also tells whether edge bc rises
+        dy = by * cd - cy * bd
+        if ax * dy - ay * (bx * cd - cx * bd) + ad * (bx * cy - cx * by) <= 0:
             raise NonConvex(tuple(tuple(point[h[m]]) for m in (i, j, k)),
                             (i, j, k))
+        was, up = up, dy < 0
+        rises += up and not was
+    _check_winding(rises)
     return [point[t] for t in h]
+
+
+def _check_winding(rises):
+    """rises counts the edges of a cycle of left turns that go up after
+    one that did not.  The edge direction turns once round per such edge,
+    so the cycle is simple, and convex, only when there is exactly one: a
+    pentagram's vertices all turn left, but it rises twice."""
+    if rises != 1:
+        raise GeomError("self-intersecting polygon: the boundary winds %d "
+                        "times round" % rises)
 
 
 def _signed_area2(pts):

@@ -15,6 +15,7 @@ sign of the misalignment, so a zero of it always exists.
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from operator import sub
 
 from .geom_core import (
     ConvexPolygon,
@@ -109,6 +110,9 @@ class HexagonFit:
     # _alignment calls the inscription made: scan angles and refinement
     # steps together
     evaluations: int
+    # the scan step k whose sign change between angles (k - 1)*pi/n and
+    # k*pi/n was refined into the fit; None when scan angle k hit zero
+    bracket: int | None
 
 
 def _interp(ys, xs, y):
@@ -131,7 +135,11 @@ def _snap(vals, tol):
     flat plateau; without snapping, rounding in cos/sin leaves a 1-ulp tilt
     and the slack logic never fires.
     """
-    order = sorted(set(vals))
+    # a convex polygon's levels are two monotone runs, which sort in
+    # linear time; when no two are within tol, each represents itself
+    order = sorted(vals)
+    if min(map(sub, order[1:], order)) > tol:
+        return vals
     rep = {}
     group = order[0]
     prev = order[0]
@@ -143,57 +151,94 @@ def _snap(vals, tol):
     return [rep[v] for v in vals]
 
 
+def _level_ends(qx, qy, y):
+    """First index of the smallest and of the largest x at level y."""
+    i = qy.index(y)
+    at = [i]
+    for _ in range(qy.count(y) - 1):
+        i = qy.index(y, i + 1)
+        at.append(i)
+    xs = [qx[i] for i in at]
+    return at[xs.index(min(xs))], at[xs.index(max(xs))]
+
+
+def _walk(vals, a, b):
+    """vals[a], vals[a + 1], ..., vals[b], cyclically."""
+    return vals[a:b + 1] if a <= b else vals[a:] + vals[:b + 1]
+
+
+def _chain(ys, xs, keep_max_x):
+    """A chain as (levels, x): ys must not decrease, and a repeated level
+    keeps its largest x (keep_max_x) or its smallest."""
+    if ys != sorted(ys):
+        raise InscriptionFailed("chain not monotone")
+    if len(set(ys)) == len(ys):
+        return ys, xs
+    oy, ox = [], []
+    for y, x in zip(ys, xs):
+        if oy and y == oy[-1]:
+            if (x > ox[-1]) == keep_max_x:
+                ox[-1] = x
+            continue
+        oy.append(y)
+        ox.append(x)
+    return oy, ox
+
+
 class _Frame:
-    """Chord table of a convex polygon against horizontal lines."""
+    """Chord table of a convex polygon against horizontal lines.
+
+    ry, rx and ly, lx are the right and left chains from the bottom level
+    to the top one, with one point per level: where snapping makes a level
+    repeat, the outer x.  ys holds the levels of both chains in increasing
+    order and ell the chord length max(0, right - left) at each; imax and
+    jmax are the first and the last index of the longest chord.
+
+    Building the table costs O(n).  Each chain is a slice of the vertex
+    cycle that may wrap past index 0, one merge of the two chains walks
+    ys in order, and each breakpoint's x on the other chain is taken on
+    the segment that spans it, by the formula of _interp.
+    """
 
     def __init__(self, qx, qy, snap_tol=0.0):
         if snap_tol > 0:
             qy = _snap(qy, snap_tol)
-        n = len(qx)
-        ibr = min(range(n), key=lambda i: (qy[i], -qx[i]))
-        itr = max(range(n), key=lambda i: (qy[i], qx[i]))
-        itl = max(range(n), key=lambda i: (qy[i], -qx[i]))
-        ibl = min(range(n), key=lambda i: (qy[i], qx[i]))
+        ibl, ibr = _level_ends(qx, qy, min(qy))
+        itl, itr = _level_ends(qx, qy, max(qy))
+        self.ry, self.rx = _chain(_walk(qy, ibr, itr), _walk(qx, ibr, itr),
+                                  keep_max_x=True)
+        self.ly, self.lx = _chain(_walk(qy, itl, ibl)[::-1],
+                                  _walk(qx, itl, ibl)[::-1], keep_max_x=False)
 
-        def walk(start, stop):
-            out = [start]
-            i = start
-            while i != stop:
-                i = (i + 1) % n
-                out.append(i)
-                if len(out) > n:
-                    raise InscriptionFailed("chain walk did not terminate")
-            return out
-
-        def compress(idx, keep_max_x):
-            ys, xs = [], []
-            for i in idx:
-                y, x = qy[i], qx[i]
-                if ys and y == ys[-1]:
-                    if (x > xs[-1]) == keep_max_x:
-                        xs[-1] = x
-                    continue
-                if ys and y < ys[-1]:
-                    raise InscriptionFailed("chain not monotone")
-                ys.append(y)
-                xs.append(x)
-            return ys, xs
-
-        self.ry, self.rx = compress(walk(ibr, itr), keep_max_x=True)
-        left = walk(itl, ibl)
-        left.reverse()
-        self.ly, self.lx = compress(left, keep_max_x=False)
-
-        ys_all = sorted(set(self.ry) | set(self.ly))
-        ell = []
-        for y in ys_all:
-            L = max(0.0, self.right(y) - self.left(y))
-            ell.append(L)
-        self.ys = ys_all
+        ry, rx, ly, lx = self.ry, self.rx, self.ly, self.lx
+        ys, ell = [], []
+        # both chains run from the bottom level to the top one, so the
+        # merge starts and ends on a shared level, and a level of one chain
+        # alone lies strictly inside a segment of the other
+        i = j = 0
+        while i < len(ry):
+            y, yl = ry[i], ly[j]
+            if y == yl:
+                L = rx[i] - lx[j]
+                i += 1
+                j += 1
+            elif y < yl:
+                t = (y - ly[j - 1]) / (yl - ly[j - 1])
+                L = rx[i] - (lx[j - 1] + t * (lx[j] - lx[j - 1]))
+                i += 1
+            else:
+                y = yl
+                t = (y - ry[i - 1]) / (ry[i] - ry[i - 1])
+                L = rx[i - 1] + t * (rx[i] - rx[i - 1]) - lx[j]
+                j += 1
+            ys.append(y)
+            ell.append(L if L > 0.0 else 0.0)
+        self.ys = ys
         self.ell = ell
-        self.imax = max(range(len(ell)), key=lambda i: (ell[i], -i))
-        self.jmax = max(range(len(ell)), key=lambda i: (ell[i], i))
-        self.ell_max = ell[self.imax]
+        self._rev = ell[::-1]
+        self.ell_max = max(ell)
+        self.imax = ell.index(self.ell_max)
+        self.jmax = len(ell) - 1 - self._rev.index(self.ell_max)
 
     def right(self, y):
         return _interp(self.ry, self.rx, y)
@@ -220,14 +265,12 @@ class _Frame:
         ys, ell = self.ys, self.ell
         if target <= ell[-1]:
             return ys[-1]
-        lo, hi = self.jmax, len(ell) - 1
-        # ell decreasing on [jmax, end]; bisect for the crossing segment
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ell[mid] >= target:
-                lo = mid
-            else:
-                hi = mid
+        # the bisection for the last index lo >= jmax with ell[lo] >= target,
+        # which ell need not be monotone for: on the reversed table
+        # bisect_left probes the mirror of each index it would probe
+        n = len(ell)
+        lo = n - 1 - bisect_left(self._rev, target, 1, n - 1 - self.jmax)
+        hi = lo + 1
         if ell[lo] == target:
             return ys[lo]
         t = (target - ell[lo]) / (ell[hi] - ell[lo])
@@ -314,7 +357,7 @@ def _clamp(x, lo, hi):
     return lo if x < lo else (hi if x > hi else x)
 
 
-def _build_fit(poly, theta, g, data, diam, evaluations):
+def _build_fit(poly, theta, g, data, diam, evaluations, bracket):
     s, y1, y2, m, xt, sig_t, xb, sig_b, xm = data
     want = 2 * (xm - (xt + xb) / 2)
     dt = _clamp(want, -sig_t, sig_t)
@@ -338,7 +381,7 @@ def _build_fit(poly, theta, g, data, diam, evaluations):
             % (residual, diam))
     return HexagonFit(hexagon=hexagon, angle=theta, edge_half_length=s,
                       alignment_error=abs(g), residual=residual,
-                      evaluations=evaluations)
+                      evaluations=evaluations, bracket=bracket)
 
 
 def inscribe(poly, n_angles=64):
@@ -353,7 +396,8 @@ def inscribe(poly, n_angles=64):
     at the first angle whose misalignment is zero within tolerance, and
     refines each sign change as soon as it meets one; the first refinement
     that converges gives the fit, and only a failed one lets the scan go
-    on.  HexagonFit.evaluations counts the misalignment evaluations.
+    on.  HexagonFit.evaluations counts the misalignment evaluations, and
+    HexagonFit.bracket is the scan step whose bracket gave the fit.
 
     The body is moved to put its first vertex at the origin before the
     float work (exactly, for an exact body, before it is converted to
@@ -363,13 +407,19 @@ def inscribe(poly, n_angles=64):
     if not isinstance(poly, ConvexPolygon):
         raise GeomError("inscribe expects a ConvexPolygon")
     o = poly.vertices[0]
+    try:
+        shift = Point(float(o.x), float(o.y))
+        pts = [Point(float(v.x - o.x), float(v.y - o.y))
+               for v in poly.vertices]
+    except OverflowError:
+        raise InscriptionFailed(
+            "body coordinates exceed the float range") from None
     # a float body was validated as given; an exact one is validated, and
     # pruned, once more as floats
-    fit = _inscribe_float(ConvexPolygon(
-        [Point(float(v.x - o.x), float(v.y - o.y)) for v in poly.vertices],
-        _trust=not poly.exact), n_angles)
+    fit = _inscribe_float(ConvexPolygon(pts, _trust=not poly.exact),
+                          n_angles)
     h = fit.hexagon
-    moved = AffineRegularHexagon(h.c + Point(float(o.x), float(o.y)), h.u, h.v)
+    moved = AffineRegularHexagon(h.c + shift, h.u, h.v)
     return replace(fit, hexagon=moved)
 
 
@@ -389,8 +439,8 @@ def _inscribe_float(poly, n_angles):
             evals[theta] = _alignment(poly_xy, theta, diam)
         return evals[theta]
 
-    def fit(t, g, data):
-        return _build_fit(poly, t, g, data, diam, len(evals))
+    def fit(t, g, data, bracket=None):
+        return _build_fit(poly, t, g, data, diam, len(evals), bracket)
 
     prev_t = None
     prev_g = None
@@ -404,7 +454,7 @@ def _inscribe_float(poly, n_angles):
             bracketed = True
             hit = _refine_bracket(g_at, prev_t, t, tol_g)
             if hit is not None:
-                return fit(*hit)
+                return fit(*hit, bracket=k)
         prev_t, prev_g = t, g
 
     if not bracketed:

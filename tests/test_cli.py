@@ -103,6 +103,29 @@ class TestCheck:
             assert doc["verdict"] == "contained"
             assert abs(float(doc["gauge"]) - 4357 / 81900) < 1e-6
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_pentagram_exits_2(self, capsys, tmp_path, mode):
+        # a convex pentagon taken in the order 0, 2, 4, 1, 3: every turn
+        # is a left turn, but the boundary winds twice
+        pentagon = [(0, 0), (4, 0), (5, 3), (2, 5), (-1, 3)]
+        p = tmp_path / "star.json"
+        p.write_text(json.dumps({"vertices": [
+            [str(x), str(y)] for x, y in (pentagon[i] for i in (0, 2, 4, 1, 3))
+        ]}))
+        code, out, err = run_cli(capsys, "--mode", mode, "check", str(p))
+        assert (code, out) == (2, "")
+        assert "error: " in err and "self-intersecting" in err
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_coordinate_beyond_float_range_exits_2(self, capsys, tmp_path,
+                                                   mode):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"vertices": [
+            ["0", "0"], ["1", "0"], ["0", "1" + "0" * 400]]}))
+        code, out, err = run_cli(capsys, "--mode", mode, "check", str(p))
+        assert (code, out) == (2, "")
+        assert "error: " in err and "float range" in err
+
     def test_float_coords_rejected_in_exact_mode(self, capsys, tmp_path):
         p = tmp_path / "float_box.json"
         p.write_text(json.dumps(FLOAT_BOX))

@@ -318,6 +318,12 @@ def ref_convex(coords):
         j, k = (i + 1) % n, (i + 2) % n
         if _ref_cross(out[i], out[j], out[k]) <= 0:
             raise NonConvex((out[i], out[j], out[k]), (i, j, k))
+    # the edge direction goes round once per edge that starts a rise
+    rises = sum(1 for i in range(n)
+                if out[i - 1][1] >= out[i][1] < out[(i + 1) % n][1])
+    if rises != 1:
+        raise GeomError("self-intersecting polygon: the boundary winds %d "
+                        "times round" % rises)
     return out
 
 
@@ -357,7 +363,8 @@ def _kernel_area(coords):
 _xs = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=13),
                min_size=3, max_size=9, unique=True)
 _edit = st.tuples(st.sampled_from(["reverse", "duplicate", "collinear",
-                                   "dent", "flatten", "rotate", "int"]),
+                                   "dent", "flatten", "rotate", "star",
+                                   "int"]),
                   st.integers(0, 20),
                   st.fractions(min_value=0, max_value=1, max_denominator=7))
 
@@ -383,11 +390,16 @@ def polygon_inputs(draw):
                                a[1] + t * (b[1] - a[1])))
         elif op == "dent":
             n = len(pts)
-            pts[i] = (sum(p[0] for p in pts) / n, sum(p[1] for p in pts) / n)
+            pts[i] = (F(sum(p[0] for p in pts), n),
+                      F(sum(p[1] for p in pts), n))
         elif op == "flatten":
             pts = [(x, 2 * x + 1) for x, _ in pts]
         elif op == "rotate":
             pts = pts[i:] + pts[:i]
+        elif op == "star":
+            # every second vertex: with an odd count, a star whose turns
+            # may all be left turns
+            pts = pts[::2] + pts[1::2]
         else:
             pts = [tuple(int(c) if F(c).denominator == 1 else c for c in p)
                    for p in pts]

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexacent.geom_core import (
@@ -18,7 +18,10 @@ from hexacent import hexagon
 from hexacent.centroid_bound import check_theorem
 from hexacent.hexagon import (
     AffineRegularHexagon,
+    InscriptionFailed,
     ThinBody,
+    _Frame,
+    _interp,
     _min_width,
     inscribe,
 )
@@ -183,9 +186,11 @@ class TestScan:
         assert 8 * math.pi / 64 < fit.angle < 9 * math.pi / 64
         assert fit.evaluations == len(thetas) < 65
         assert max(thetas) == 9 * math.pi / 64
+        assert fit.bracket == 9
 
     def test_exact_grid_hit_takes_one_evaluation(self):
-        assert inscribe(canon().polygon()).evaluations == 1
+        fit = inscribe(canon().polygon())
+        assert (fit.evaluations, fit.bracket) == (1, None)
 
 
 # O(n^2) reference for the rotating-calipers _min_width: the loop it
@@ -265,3 +270,193 @@ def test_float_inscription_is_translation_invariant(coords, shift):
     assert chk.verdict == chk_m.verdict == "contained"
     assert abs(chk.gauge_value - chk_m.gauge_value) \
         <= 1e-9 + 100 * ulp / _min_width(body)
+
+
+# Reference for the chord table of _Frame: the O(n log n) construction it
+# replaced, with one _interp (a bisect) per breakpoint and the extremes and
+# maxima taken by min/max over key tuples, and the snapping and the
+# level_high bisection as they were written with it.
+
+def ref_snap(vals, tol):
+    order = sorted(set(vals))
+    rep = {}
+    group = prev = order[0]
+    for v in order:
+        if v - prev > tol:
+            group = v
+        rep[v] = group
+        prev = v
+    return [rep[v] for v in vals]
+
+
+def ref_frame(qx, qy, snap_tol):
+    if snap_tol > 0:
+        qy = ref_snap(qy, snap_tol)
+    n = len(qx)
+    ibr = min(range(n), key=lambda i: (qy[i], -qx[i]))
+    itr = max(range(n), key=lambda i: (qy[i], qx[i]))
+    itl = max(range(n), key=lambda i: (qy[i], -qx[i]))
+    ibl = min(range(n), key=lambda i: (qy[i], qx[i]))
+
+    def walk(start, stop):
+        out = [start]
+        while out[-1] != stop:
+            out.append((out[-1] + 1) % n)
+        return out
+
+    def compress(idx, keep_max_x):
+        ys, xs = [], []
+        for i in idx:
+            y, x = qy[i], qx[i]
+            if ys and y == ys[-1]:
+                if (x > xs[-1]) == keep_max_x:
+                    xs[-1] = x
+                continue
+            if ys and y < ys[-1]:
+                raise InscriptionFailed("chain not monotone")
+            ys.append(y)
+            xs.append(x)
+        return ys, xs
+
+    ry, rx = compress(walk(ibr, itr), keep_max_x=True)
+    ly, lx = compress(walk(itl, ibl)[::-1], keep_max_x=False)
+    ys = sorted(set(ry) | set(ly))
+    ell = [max(0.0, _interp(ry, rx, y) - _interp(ly, lx, y)) for y in ys]
+    imax = max(range(len(ell)), key=lambda i: (ell[i], -i))
+    jmax = max(range(len(ell)), key=lambda i: (ell[i], i))
+    return dict(ry=ry, rx=rx, ly=ly, lx=lx, ys=ys, ell=ell, imax=imax,
+                jmax=jmax, ell_max=ell[imax])
+
+
+def ref_level_high(table, target):
+    ys, ell = table["ys"], table["ell"]
+    if target <= ell[-1]:
+        return ys[-1]
+    lo, hi = table["jmax"], len(ell) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ell[mid] >= target:
+            lo = mid
+        else:
+            hi = mid
+    if ell[lo] == target:
+        return ys[lo]
+    t = (target - ell[lo]) / (ell[hi] - ell[lo])
+    return ys[lo] + t * (ys[hi] - ys[lo])
+
+
+FRAME_KEYS = ("ry", "rx", "ly", "lx", "ys", "ell", "imax", "jmax", "ell_max")
+
+
+def frame_outcome(qx, qy, snap_tol):
+    """repr of the table, or of the error: repr tells 0.0 from -0.0."""
+    try:
+        fr = _Frame(qx, qy, snap_tol)
+    except InscriptionFailed as e:
+        return repr(e)
+    return repr({k: getattr(fr, k) for k in FRAME_KEYS})
+
+
+def ref_outcome(qx, qy, snap_tol):
+    try:
+        return repr(ref_frame(qx, qy, snap_tol))
+    except InscriptionFailed as e:
+        return repr(e)
+
+
+@st.composite
+def frame_inputs(draw):
+    """Rotated vertex lists of convex polygons, as _alignment makes them.
+
+    Grid hulls and regular polygons, seen along directions parallel to
+    their edges, have plateaus and ties at the extremes; jitter below the
+    snapping tolerance makes plateaus that only snapping flattens; the
+    start index is arbitrary, so chains wrap past index 0; and zeros of
+    either sign appear at the grid directions.  Some lists are shuffled,
+    which makes chains that are not monotone, and some are reversed, which
+    makes chains with repeated levels."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    kind = draw(st.sampled_from(["grid", "regular", "blob"]))
+    if kind == "regular":
+        m = rng.randrange(3, 13)
+        pts = [(math.cos(2 * math.pi * k / m), math.sin(2 * math.pi * k / m))
+               for k in range(m)]
+    else:
+        span = 4 if kind == "grid" else 1000
+        pts = [(float(rng.randint(-span, span)),
+                float(rng.randint(-span, span)))
+               for _ in range(rng.randrange(3, 30))]
+        try:
+            pts = [tuple(v) for v in convex_hull([Point(*p) for p in pts])]
+        except DegenerateInput:
+            pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    if rng.random() < 0.3:
+        # rest on both axes, so that zeros come at the extremes
+        x0, y0 = min(x for x, _ in pts), min(y for _, y in pts)
+        pts = [(x - x0, y - y0) for x, y in pts]
+    jit = draw(st.sampled_from([0.0, 1e-14, 1e-9]))
+    pts = [(x + jit * rng.random(), y + jit * rng.random()) for x, y in pts]
+    r = rng.randrange(len(pts))
+    pts = pts[r:] + pts[:r]
+    if rng.random() < 0.1:
+        rng.shuffle(pts)
+    elif rng.random() < 0.2:
+        pts.reverse()
+    theta = draw(st.one_of(
+        st.sampled_from([0.0, math.pi / 4, math.pi / 2, math.pi]),
+        st.integers(0, 64).map(lambda k: k * math.pi / 64),
+        st.floats(0, math.pi)))
+    ct, st_ = math.cos(theta), math.sin(theta)
+    qx = [x * ct + y * st_ for x, y in pts]
+    qy = [-x * st_ + y * ct for x, y in pts]
+    if draw(st.booleans()):
+        qx = [-0.0 if v == 0 and rng.random() < 0.5 else v for v in qx]
+        qy = [-0.0 if v == 0 and rng.random() < 0.5 else v for v in qy]
+    diam = max(math.hypot(a[0] - b[0], a[1] - b[1]) for a in pts for b in pts)
+    snap_tol = draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-2])) * diam
+    return qx, qy, snap_tol
+
+
+@settings(max_examples=500, deadline=None)
+@given(frame_inputs())
+# a unit square whose bottom level is 0.0 on the left and -0.0 on the right
+@example(([0.0, 1.0, 1.0, 0.0], [0.0, -0.0, 1.0, 1.0], 0.0))
+def test_frame_matches_bisect_reference(args):
+    got = frame_outcome(*args)
+    assert got == ref_outcome(*args)
+    if got.startswith("InscriptionFailed"):
+        return
+    fr = _Frame(*args)
+    ref = ref_frame(*args)
+    lo, hi = fr.ell[-1], fr.ell_max
+    for k in range(9):
+        target = lo + (hi - lo) * k / 8
+        assert repr(fr.level_high(target)) == repr(ref_level_high(ref, target))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=2, max_size=40),
+       st.integers(0, 7))
+def test_level_high_probes_like_the_reference(ell, k):
+    # a chord table need not be monotone after its maximum when rounding
+    # wiggles it; level_high must still pick the reference's segment
+    fr = _Frame.__new__(_Frame)
+    fr.ell = [float(v) for v in ell]
+    fr.ys = [float(i) for i in range(len(ell))]
+    fr.ell_max = max(fr.ell)
+    fr._rev = fr.ell[::-1]
+    fr.jmax = len(ell) - 1 - fr._rev.index(fr.ell_max)
+    ref = {"ys": fr.ys, "ell": fr.ell, "jmax": fr.jmax}
+    target = k + 0.5
+    if target <= fr.ell_max:
+        assert repr(fr.level_high(target)) == repr(ref_level_high(ref, target))
+
+
+def test_frame_rejects_a_chain_that_is_not_monotone():
+    # a regular pentagon in the order 0, 2, 4, 1, 3
+    order = [0, 2, 4, 1, 3]
+    qx = [math.cos(2 * math.pi * k / 5) for k in order]
+    qy = [math.sin(2 * math.pi * k / 5) for k in order]
+    with pytest.raises(InscriptionFailed, match="chain not monotone"):
+        _Frame(qx, qy)
+    assert ref_outcome(qx, qy, 0.0) == frame_outcome(qx, qy, 0.0)
