@@ -18,12 +18,15 @@ from .geom_core import (
     Line,
     Point,
     area_and_centroid,
+    as_fraction,
     clip_halfplane,
     convex_hull,
     cross3,
     gauge,
     on_segment,
     point_segment_dist,
+    scale_exponent,
+    scale_point,
 )
 from .hexagon import AffineRegularHexagon, InscriptionFailed, inscribe
 
@@ -41,25 +44,33 @@ def canonical_hexagon():
                                 Point(F(-1), F(1)))
 
 
+# the constant coordinates of body_G
+_ZERO, _ONE, _TWO = Fraction(0), Fraction(1), Fraction(2)
+_MINUS_ONE, _MINUS_TWO = Fraction(-1), Fraction(-2)
+
+
 def body_G(w, z):
     """Extremal body: canonical hexagon, a cap with apex (0, w) over the top
-    edge, and two symmetric wings whose apexes slide along the cap edge
-    lines, parametrized by z in [0, 1].
+    edge, and two symmetric wings whose apexes p1 = wing_apex(w, z) and its
+    mirror image slide along the cap edge lines, parametrized by z in [0, 1].
 
-    Valid for 1 <= w <= 2.  Exact facts: area = B/w and centroid
-    (0, P/(3wB)) with B = w^2 - 2wz + 5w + 4z and
+    Valid for 1 <= w <= 2, checked on the numerators: with w = a/b and
+    z = c/d, b <= a <= 2b and 0 <= c <= d.  ConvexPolygon validation drops
+    the vertices that repeat or fall on an edge at z = 0, z = 1 and w = 2.
+    Exact facts: area = B/w and centroid (0, P/(3wB)) with
+    B = w^2 - 2wz + 5w + 4z and
     P = 4z^2(w^2-3w+2) + 4zw(2-w) + w^4 + w^3 - 2w^2.
     """
-    w, z = Fraction(w), Fraction(z)
-    if not 1 <= w <= 2:
+    w, z = as_fraction(w), as_fraction(z)
+    a, b = w.numerator, w.denominator
+    if not b <= a <= 2 * b:
         raise GeomError("cap height w must lie in [1, 2]")
-    if not 0 <= z <= 1:
+    if not 0 <= z.numerator <= z.denominator:
         raise GeomError("wing parameter z must lie in [0, 1]")
-    F = Fraction
-    p1 = Point((w + 2 * z) / w, (w + z * (2 - 2 * w)) / w)
-    p2 = Point(-p1.x, p1.y)
-    pts = [Point(F(0), w), p2, Point(F(-2), F(0)), Point(F(-1), F(-1)),
-           Point(F(1), F(-1)), Point(F(2), F(0)), p1]
+    p1 = wing_apex(w, z)
+    pts = [Point(_ZERO, w), Point(-p1.x, p1.y), Point(_MINUS_TWO, _ZERO),
+           Point(_MINUS_ONE, _MINUS_ONE), Point(_ONE, _MINUS_ONE),
+           Point(_TWO, _ZERO), p1]
     return ConvexPolygon(pts)
 
 
@@ -83,10 +94,18 @@ def centroid_height_G(w, z):
 
 
 def wing_apex(w, z):
-    """Right wing apex p1: slides along the cap edge line from (1,1) at z=0
-    to the full-wing apex m1 at z=1."""
-    w, z = Fraction(w), Fraction(z)
-    return Point((w + 2 * z) / w, (w + z * (2 - 2 * w)) / w)
+    """Right wing apex p1 = ((w + 2z)/w, (w + z(2 - 2w))/w): it slides along
+    the cap edge line from (1,1) at z=0 to the full-wing apex m1 at z=1.
+
+    Built on integers: with w = a/b and z = c/d it is
+    ((ad + 2bc)/(ad), (ad + 2c(b - a))/(ad)), two Fractions and no other
+    rational arithmetic."""
+    w, z = as_fraction(w), as_fraction(z)
+    a, b = w.numerator, w.denominator
+    c, d = z.numerator, z.denominator
+    ad = a * d
+    return Point(Fraction(ad + 2 * b * c, ad),
+                 Fraction(ad + 2 * c * (b - a), ad))
 
 
 def full_wing_apex(w):
@@ -100,8 +119,7 @@ def wing_wedge(w, z):
     """Triangle (p1, (2,0), m1): the part of the full wing that the body
     gives up when its wing apex stops at parameter z < 1.  Degenerate when
     z = 1 or w = 2."""
-    F = Fraction
-    return (wing_apex(w, z), Point(F(2), F(0)), full_wing_apex(w))
+    return (wing_apex(w, z), Point(_TWO, _ZERO), full_wing_apex(w))
 
 
 def support_parameter_w(body, tol=1e-7):
@@ -201,13 +219,13 @@ class BoundReport:
         return self.verdict == "contained"
 
 
-def _extract_w(body, hexagon):
+def _extract_w(vertices, exact, hexagon):
     """Supporting-line cap height of the body mapped to canonical
     coordinates; None when the mapped body has no boundary point at (1,1)
     within tolerance (e.g. for a sloppy inscription)."""
     M = hexagon.to_canonical()
-    pts = [M.apply(v) for v in body.vertices]
-    exact = body.exact and all(pt.exact for pt in pts)
+    pts = [M.apply(v) for v in vertices]
+    exact = exact and all(pt.exact for pt in pts)
     try:
         return _support_w(pts, exact, tol=1e-5)
     except NotCanonical:
@@ -233,13 +251,27 @@ def check_theorem(body, ratio=RATIO, hexagon=None, fit=None, margin_tol=1e-9):
         ratio_val = float(ratio)
     else:
         ratio_val = Fraction(ratio)
-    g = hexagon_gauge(hexagon, cen)
+    # the gauge and the support parameter do not change when everything
+    # is scaled; for a float hexagon far from 1 in size, they are taken on
+    # copies scaled by a power of two, which is exact, so that their
+    # products neither overflow nor underflow
+    hexa, verts, c = hexagon, body.vertices, cen
+    e = 0 if hexagon.u.exact and hexagon.v.exact else scale_exponent(
+        max(abs(t) for t in (hexagon.u.x, hexagon.u.y,
+                             hexagon.v.x, hexagon.v.y)))
+    if e:
+        hexa = AffineRegularHexagon(*(scale_point(p, -e) for p in
+                                      (hexagon.c, hexagon.u, hexagon.v)))
+        verts = [scale_point(v, -e) for v in verts]
+        c = scale_point(cen, -e)
+    g = hexagon_gauge(hexa, c)
     margin = ratio_val - g
     ok = margin >= 0 if exact else margin >= -margin_tol
     return BoundReport(verdict="contained" if ok else "violated",
                        gauge_value=g, ratio=ratio_val, margin=margin,
                        centroid=cen, hexagon=hexagon, fit=fit,
-                       w_extracted=_extract_w(body, hexagon), exact=exact)
+                       w_extracted=_extract_w(verts, body.exact, hexa),
+                       exact=exact)
 
 
 def star_violations(body, fit, tol=1e-6):

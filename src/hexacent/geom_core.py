@@ -51,6 +51,49 @@ def _is_exact(x):
     return isinstance(x, (Fraction, int))
 
 
+def as_fraction(x):
+    """x as a Fraction; a Fraction is returned as it is, not copied."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+# Float work on coordinates whose magnitude lies within [_SAFE_LO,
+# _SAFE_HI] neither overflows nor underflows in products of up to three
+# of them.
+_SAFE_LO, _SAFE_HI = 2.0 ** -300, 2.0 ** 300
+
+
+def _exponent(x):
+    """e with |x| / 2**e in [1/2, 2), for a nonzero float or rational."""
+    if isinstance(x, float):
+        return math.frexp(x)[1]
+    x = as_fraction(x)
+    return abs(x.numerator).bit_length() - x.denominator.bit_length()
+
+
+def magnitude_exponent(values):
+    """e with max |v| / 2**e in [1/2, 2) over the nonzero values; 0 when
+    every value is 0."""
+    return max((_exponent(v) for v in values if v), default=0)
+
+
+def scale_exponent(m):
+    """The power of two that brings a body of magnitude m to about 1: 0
+    when m is 0 or lies within [_SAFE_LO, _SAFE_HI], else the exponent of
+    m."""
+    if not m or _SAFE_LO <= abs(m) <= _SAFE_HI:
+        return 0
+    return _exponent(m)
+
+
+def scale_point(p, e):
+    """p times 2**e: exact for a rational point, and for a float point
+    whose scaled coordinates stay within the float range."""
+    if not p.exact:
+        return Point(math.ldexp(p.x, e), math.ldexp(p.y, e))
+    f = Fraction(2) ** e
+    return Point(p.x * f, p.y * f)
+
+
 class Point:
     __slots__ = ("x", "y")
 
@@ -170,41 +213,28 @@ class ConvexPolygon:
             self.vertices = _exact_convex(pts)
             return
 
-        # normalize to CCW
-        area2 = _signed_area2(pts)
-        if area2 < 0:
-            pts.reverse()
-            area2 = -area2
-        if area2 == 0:
-            raise DegenerateInput("zero-area polygon")
-
-        pts = self._prune(pts)
-        if len(pts) < 3:
-            raise DegenerateInput("polygon collapses after pruning")
-
-        n = len(pts)
-        up = pts[0].y > pts[-1].y
-        rises = 0
-        for i in range(n):
-            a, b, c = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
-            if cross3(a, b, c) <= 0:
-                raise NonConvex((tuple(a), tuple(b), tuple(c)),
-                                (i, (i + 1) % n, (i + 2) % n))
-            was, up = up, b.y > a.y
-            rises += up and not was
-        _check_winding(rises)
-        self.vertices = pts
-
-    def _prune(self, pts):
-        # drop duplicate and collinear vertices within a 1e-12 * diam^2
-        # tolerance (floating mode; exact mode prunes in _exact_convex)
+        # the float tests take cross products of coordinate differences; a
+        # body whose size is far from 1 is validated as a copy scaled by a
+        # power of two, which is exact, so that they neither overflow nor
+        # underflow
         d = _diameter(pts)
-        tol2 = 1e-12 * d * d
-
-        def flat(a, b, c):
-            return abs(cross3(a, b, c)) <= tol2
-
-        return _drop_flat(_drop_repeats(pts), flat)
+        e = (scale_exponent(d) if math.isfinite(d)
+             else magnitude_exponent(c for p in pts for c in p))
+        if not e:
+            self.vertices = _float_convex(pts, d)
+            return
+        orig = {}
+        scaled = []
+        for p in pts:
+            q = scale_point(p, -e)
+            orig.setdefault(q, p)
+            scaled.append(q)
+        try:
+            kept = _float_convex(scaled, _diameter(scaled))
+        except NonConvex as err:
+            raise NonConvex(tuple(tuple(orig[Point(*t)]) for t in err.triple),
+                            err.indices) from None
+        self.vertices = [orig[q] for q in kept]
 
     def __len__(self):
         return len(self.vertices)
@@ -226,6 +256,40 @@ class ConvexPolygon:
             if cross3(self.vertices[i], self.vertices[(i + 1) % n], p) < -tol:
                 return False
         return True
+
+
+def _float_convex(pts, d):
+    """ConvexPolygon validation in floating mode, for a body of diameter
+    d: CCW order, repeated vertices and those within a 1e-12 * d^2 cross
+    product of collinear dropped, strict convexity checked."""
+    area2 = _signed_area2(pts)
+    if area2 < 0:
+        pts.reverse()
+        area2 = -area2
+    if area2 == 0:
+        raise DegenerateInput("zero-area polygon")
+
+    tol2 = 1e-12 * d * d
+
+    def flat(a, b, c):
+        return abs(cross3(a, b, c)) <= tol2
+
+    pts = _drop_flat(_drop_repeats(pts), flat)
+    if len(pts) < 3:
+        raise DegenerateInput("polygon collapses after pruning")
+
+    n = len(pts)
+    up = pts[0].y > pts[-1].y
+    rises = 0
+    for i in range(n):
+        a, b, c = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
+        if cross3(a, b, c) <= 0:
+            raise NonConvex((tuple(a), tuple(b), tuple(c)),
+                            (i, (i + 1) % n, (i + 2) % n))
+        was, up = up, b.y > a.y
+        rises += up and not was
+    _check_winding(rises)
+    return pts
 
 
 def _drop_repeats(pts):
@@ -462,18 +526,41 @@ def area_and_centroid(poly):
         return _exact_area_and_centroid(_homogeneous(pts))
     # relative to the first vertex o, the two shoelace terms at o vanish
     o = pts[0]
+    rel = [p - o for p in pts[1:]]
+    a2, sx, sy = _float_moments(rel)
+    e = 0
+    if not (_SAFE_LO ** 2 <= abs(a2) <= _SAFE_HI ** 2
+            and math.isfinite(sx + sy)):
+        # a body far from 1 in size: the same sums on its offsets scaled
+        # by 2**-e, which is exact
+        e = scale_exponent(max((max(abs(p.x), abs(p.y)) for p in rel),
+                               default=0))
+        if e:
+            a2, sx, sy = _float_moments([scale_point(p, -e) for p in rel])
+    if a2 == 0:
+        raise DegenerateInput("zero-area polygon")
+    cx, cy = sx / (3 * a2), sy / (3 * a2)
+    if not e:
+        return a2 / 2, Point(o.x + cx, o.y + cy)
+    try:
+        area = math.ldexp(a2 / 2, 2 * e)
+    except OverflowError:
+        area = math.inf
+    return area, Point(o.x + math.ldexp(cx, e), o.y + math.ldexp(cy, e))
+
+
+def _float_moments(rel):
+    """Twice the signed area and the shoelace moment sums of a polygon
+    given by its vertices after the first, relative to the first."""
     a2 = 0
     sx = 0
     sy = 0
-    for p, q in zip(pts[1:], pts[2:]):
-        p, q = p - o, q - o
+    for p, q in zip(rel, rel[1:]):
         cr = p.cross(q)
         a2 += cr
         sx += (p.x + q.x) * cr
         sy += (p.y + q.y) * cr
-    if a2 == 0:
-        raise DegenerateInput("zero-area polygon")
-    return a2 / 2, Point(o.x + sx / (3 * a2), o.y + sy / (3 * a2))
+    return a2, sx, sy
 
 
 def _exact_area_and_centroid(h):

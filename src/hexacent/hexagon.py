@@ -22,7 +22,11 @@ from .geom_core import (
     DegenerateInput,
     GeomError,
     Point,
+    _cross_sign,
     boundary_distance,
+    magnitude_exponent,
+    scale_exponent,
+    scale_point,
 )
 
 
@@ -41,6 +45,11 @@ class AffineRegularHexagon:
 
     def __init__(self, c, u, v):
         cr = u.cross(v)
+        if not (cr > 0 or cr < 0) and all(
+                isinstance(t, float) and math.isfinite(t) for t in (*u, *v)):
+            # a float 0 or NaN may be an underflow or an overflow of the
+            # products: take the sign exactly
+            cr = _cross_sign((0.0, 0.0), tuple(u), (0.0, 0.0), tuple(v))
         if cr == 0:
             raise DegenerateInput("hexagon offsets are collinear")
         if cr < 0:
@@ -384,6 +393,11 @@ def _build_fit(poly, theta, g, data, diam, evaluations, bracket):
                       evaluations=evaluations, bracket=bracket)
 
 
+# the fit of a body whose offsets are below 2**_MIN_EXP would have
+# coordinates near or below the smallest normal float, 2**-1022
+_MIN_EXP = -960
+
+
 def inscribe(poly, n_angles=64):
     """Inscribe an affine-regular hexagon in a convex polygon.
 
@@ -402,25 +416,65 @@ def inscribe(poly, n_angles=64):
     The body is moved to put its first vertex at the origin before the
     float work (exactly, for an exact body, before it is converted to
     float), and the fit is moved back, so the float work sees coordinates
-    of the body's own size wherever the body sits in the plane.
+    of the body's own size wherever the body sits in the plane.  A body
+    whose offsets from that vertex are far from 1 in size is also scaled
+    by a power of two 2**-e, exactly, before the float work, and the fit
+    by 2**e after it: the float work does not overflow or underflow, and
+    its result is the one for the body at size 1, scaled.
     """
     if not isinstance(poly, ConvexPolygon):
         raise GeomError("inscribe expects a ConvexPolygon")
-    o = poly.vertices[0]
+    vs = poly.vertices
+    o = vs[0]
     try:
         shift = Point(float(o.x), float(o.y))
-        pts = [Point(float(v.x - o.x), float(v.y - o.y))
-               for v in poly.vertices]
+        xs = [float(v.x - o.x) for v in vs]
+        ys = [float(v.y - o.y) for v in vs]
+        m = max(max(map(abs, xs)), max(map(abs, ys)))
     except OverflowError:
-        raise InscriptionFailed(
-            "body coordinates exceed the float range") from None
+        m = math.inf
+    # a float offset overflows to inf, an exact one raises
+    if m == math.inf:
+        raise InscriptionFailed("body coordinates exceed the float range")
+    e = scale_exponent(m)
+    if poly.exact and (e or not m):
+        # the exponent of the exact offsets, whose floats may be 0
+        rel = [v - o for v in vs]
+        e = magnitude_exponent(t for p in rel for t in p)
+        pts = [scale_point(p, -e) for p in rel]
+        xs = [float(p.x) for p in pts]
+        ys = [float(p.y) for p in pts]
+    elif e:
+        xs = [math.ldexp(x, -e) for x in xs]
+        ys = [math.ldexp(y, -e) for y in ys]
+    if e < _MIN_EXP:
+        raise InscriptionFailed("body coordinates fall below the float range")
     # a float body was validated as given; an exact one is validated, and
     # pruned, once more as floats
-    fit = _inscribe_float(ConvexPolygon(pts, _trust=not poly.exact),
-                          n_angles)
+    fit = _inscribe_float(
+        ConvexPolygon(list(map(Point, xs, ys)), _trust=not poly.exact),
+        n_angles)
+    if e:
+        try:
+            fit = _scaled_fit(fit, e)
+        except OverflowError:
+            raise InscriptionFailed(
+                "body coordinates exceed the float range") from None
     h = fit.hexagon
     moved = AffineRegularHexagon(h.c + shift, h.u, h.v)
     return replace(fit, hexagon=moved)
+
+
+def _scaled_fit(fit, e):
+    """The fit scaled by 2**e; OverflowError beyond the float range."""
+    h = fit.hexagon
+    return replace(
+        fit,
+        hexagon=AffineRegularHexagon(*(scale_point(p, e)
+                                       for p in (h.c, h.u, h.v))),
+        edge_half_length=math.ldexp(fit.edge_half_length, e),
+        alignment_error=math.ldexp(fit.alignment_error, e),
+        residual=math.ldexp(fit.residual, e))
 
 
 def _inscribe_float(poly, n_angles):

@@ -252,12 +252,20 @@ class BiPoly:
         return acc
 
     def _call_exact(self, w, z):
-        """Horner on integers: with w = a/b, z = p/q and den the common
+        if not self.coeffs:
+            return 0
+        return Fraction(*self.num_den(w, z))
+
+    def num_den(self, w, z):
+        """P(w, z) at rational w and z as an integer pair (num, den) with
+        den > 0, not reduced.
+
+        Horner on integers: with w = a/b, z = p/q and den the common
         denominator of the coefficients, den * b^m * q^n * P(w, z) is the
         sum over i, j of the integers (den * c_ij) a^i b^(m-i) p^j q^(n-j),
         where m and n are the degrees in w and z."""
         if not self.coeffs:
-            return 0
+            return 0, 1
         if self._rows is None:
             den = 1
             for c in self.coeffs.values():
@@ -281,7 +289,7 @@ class BiPoly:
                 qk *= q
             acc = acc * a + r * bk
             bk *= b
-        return Fraction(acc, den * b ** m * q ** n)
+        return acc, den * b ** m * q ** n
 
     def deriv_w(self):
         return BiPoly({(i - 1, j): i * c

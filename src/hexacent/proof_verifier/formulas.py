@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ..geom_core import as_fraction
 from .bipoly import BiPoly, UniPoly, resultant_z
 from .roots import bisect_root
 
@@ -306,12 +307,14 @@ def cen_G_formula(w, z):
     denominators; exact Fraction for exact inputs, float otherwise."""
     p = polys()
     if _exact_inputs(w, z):
-        wf, zf = F(w), F(z)
+        wf, zf = as_fraction(w), as_fraction(z)
         if wf <= 0:
             raise DomainError("cap height w must be positive")
-        den = 3 * wf * p["B"](wf, zf)
-        assert den > 0
-        return p["N_disp"](wf, zf) / den
+        # N / (3 w B) with N = nn/nd, w = a/b and B = bn/bd, in one division
+        nn, nd = p["N_disp"].num_den(wf, zf)
+        bn, bd = p["B"].num_den(wf, zf)
+        assert bn > 0
+        return F(nn * wf.denominator * bd, 3 * wf.numerator * bn * nd)
     wf, zf = float(w), float(z)
     if wf <= 0:
         raise DomainError("cap height w must be positive")
@@ -449,7 +452,7 @@ def verify_reduction_identity(nu, delta, area_v, cen_v):
     and moment nu drops the remainder's average height to at most nu/delta
     exactly when the piece's height is at least nu/delta.  Returns
     (left, right); the caller checks they agree."""
-    nu, delta, area_v, cen_v = F(nu), F(delta), F(area_v), F(cen_v)
+    nu, delta, area_v, cen_v = map(as_fraction, (nu, delta, area_v, cen_v))
     if not delta > area_v > 0:
         raise DomainError("need total mass > piece mass > 0")
     ratio = nu / delta

@@ -19,8 +19,10 @@ from ..centroid_bound import (
     hexagon_gauge,
     support_parameter_w,
     tight_pentagon,
+    wing_apex,
 )
-from ..geom_core import Point, area_and_centroid, composite_centroid
+from ..geom_core import GeomError, Point, area_and_centroid, composite_centroid
+from ..io_json import dump_scalar
 from .bipoly import BiPoly, UniPoly
 from .certify import Region, certify_sign, critical_points
 from .formulas import (
@@ -91,14 +93,12 @@ class VerificationLedger:
 
 
 def _s(v):
-    """Value as a string for ledger data: exact for rationals."""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (Fraction, int)):
-        return str(Fraction(v))
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    """Value as a string for ledger data: a scalar as dump_scalar writes
+    it, exact for rationals, and anything else as str(v)."""
+    try:
+        return dump_scalar(v)
+    except GeomError:
+        return str(v)
 
 
 def _cert_data(cert):
@@ -567,8 +567,7 @@ def _run_p7c(budget, depth=30):
             cap = [Point(F(-1), F(1)), Point(F(1), F(1)), Point(F(0), w)]
             parts.append(area_and_centroid(cap))
         if z > 0 and w < 2:
-            p1 = Point((w + 2 * z) / w, (w + z * (2 - 2 * w)) / w)
-            wing = [Point(F(1), F(1)), Point(F(2), F(0)), p1]
+            wing = [Point(F(1), F(1)), Point(F(2), F(0)), wing_apex(w, z)]
             a, c = area_and_centroid(wing)
             parts.append((a, c))
             parts.append((a, Point(-c.x, c.y)))

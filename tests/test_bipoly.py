@@ -180,3 +180,15 @@ def test_float_call_is_bit_identical_to_term_sum(p, w, z):
     got, want = p(w, z), term_sum(p, w, z)
     assert type(got) is type(want)
     assert repr(got) == repr(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bipolys, exact_args, exact_args)
+def test_num_den_is_the_exact_call_before_reduction(p, w, z):
+    num, den = p.num_den(w, z)
+    assert type(num) is int and type(den) is int and den > 0
+    got = p(w, z)
+    if p.is_zero():
+        assert (num, den) == (0, 1) and got == 0 and type(got) is int
+    else:
+        assert type(got) is F and got == F(num, den)

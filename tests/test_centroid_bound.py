@@ -20,9 +20,11 @@ from hexacent.centroid_bound import (
     star_violations,
     support_parameter_w,
     tight_pentagon,
+    wing_apex,
     wing_monotonicity,
 )
 from hexacent.geom_core import (
+    ConvexPolygon,
     GeomError,
     Point,
     area_and_centroid,
@@ -252,3 +254,70 @@ def test_random_bodies_satisfy_bound(i):
     body = random_body(rng, ("a", "b")[i % 2])
     chk = check_theorem(body)
     assert chk.ok
+
+
+# Reference for body_G and wing_apex: the forms they had before they were
+# built on integer numerators and denominators, in Fraction arithmetic.
+
+def ref_body_G(w, z):
+    w, z = Fraction(w), Fraction(z)
+    if not 1 <= w <= 2:
+        raise GeomError("cap height w must lie in [1, 2]")
+    if not 0 <= z <= 1:
+        raise GeomError("wing parameter z must lie in [0, 1]")
+    p1 = ref_wing_apex(w, z)
+    p2 = Point(-p1.x, p1.y)
+    pts = [Point(F(0), w), p2, Point(F(-2), F(0)), Point(F(-1), F(-1)),
+           Point(F(1), F(-1)), Point(F(2), F(0)), p1]
+    return ConvexPolygon(pts)
+
+
+def ref_wing_apex(w, z):
+    w, z = Fraction(w), Fraction(z)
+    return Point((w + 2 * z) / w, (w + z * (2 - 2 * w)) / w)
+
+
+def outcome(fn, *args, message=True):
+    """(coordinates, their types) of the points fn returns, or the type
+    (and the message) of what it raises."""
+    try:
+        got = fn(*args)
+    except Exception as e:  # noqa: BLE001 - compared, not swallowed
+        return "raises", type(e), str(e) if message else None
+    pts = got.vertices if isinstance(got, ConvexPolygon) else [got]
+    return ([(p.x, p.y) for p in pts],
+            [(type(p.x), type(p.y)) for p in pts])
+
+
+def near(lo, hi):
+    """Rationals in [lo, hi] and a little beyond, with denominators of up
+    to 30 digits."""
+    return st.integers(1, 10 ** 30).flatmap(
+        lambda d: st.integers(lo * d - d // 8, hi * d + d // 8).map(
+            lambda k: Fraction(k, d)))
+
+
+BOUNDARY = [0, 1, 2, F(0), F(1), F(2), 0.0, 1.0, 2.0, 1.5, 0.25,
+            F(10 ** 30 - 1, 10 ** 30), F(10 ** 30 + 1, 10 ** 30),
+            F(2 * 10 ** 30 + 1, 10 ** 30), F(-1, 10 ** 30), -1, 3]
+cap_heights = st.one_of(near(1, 2), st.sampled_from(BOUNDARY),
+                        st.integers(-2, 4), st.floats(0.5, 2.5))
+wing_params = st.one_of(near(0, 1), st.sampled_from(BOUNDARY),
+                        st.integers(-2, 3), st.floats(-0.5, 1.5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cap_heights, wing_params)
+def test_body_G_matches_reference(w, z):
+    assert outcome(body_G, w, z) == outcome(ref_body_G, w, z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near(-3, 3), st.sampled_from(BOUNDARY),
+                 st.floats(-3, 3, allow_nan=False)),
+       st.one_of(near(-2, 2), st.sampled_from(BOUNDARY),
+                 st.floats(-2, 2, allow_nan=False)))
+def test_wing_apex_matches_reference(w, z):
+    # at w = 0 both divide by zero, in different places
+    assert outcome(wing_apex, w, z, message=False) \
+        == outcome(ref_wing_apex, w, z, message=False)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -122,6 +123,32 @@ class TestCheck:
         p = tmp_path / "huge.json"
         p.write_text(json.dumps({"vertices": [
             ["0", "0"], ["1", "0"], ["0", "1" + "0" * 400]]}))
+        code, out, err = run_cli(capsys, "--mode", mode, "check", str(p))
+        assert (code, out) == (2, "")
+        assert "error: " in err and "float range" in err
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("leg", ["1" + "0" * 160, "1/1" + "0" * 200],
+                             ids=["legs-1e160", "legs-1e-200"])
+    def test_right_triangle_at_any_scale(self, capsys, tmp_path, mode, leg):
+        # 10**160 squared overflows a float, 10**-200 squared underflows
+        p = tmp_path / "tri.json"
+        p.write_text(json.dumps({"vertices": [
+            ["0", "0"], [leg, "0"], ["0", leg]]}))
+        code, out, err = run_cli(capsys, "--mode", mode, "check", str(p))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["verdict"] == "contained"
+        assert float(doc["centroid"][0]) == float(Fraction(leg) / 3)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_offsets_beyond_float_range_exit_2(self, capsys, tmp_path, mode):
+        # each coordinate is a float, but their differences are not
+        p = tmp_path / "wide.json"
+        big = 10 ** 308
+        p.write_text(json.dumps({"vertices": [
+            [str(x), str(y)] for x, y in ((-big, -big), (big, -big),
+                                          (0, big))]}))
         code, out, err = run_cli(capsys, "--mode", mode, "check", str(p))
         assert (code, out) == (2, "")
         assert "error: " in err and "float range" in err

@@ -202,3 +202,51 @@ def test_reduction_identity_sides_agree(nu, delta_extra, area_v, cen_v):
     delta = area_v + delta_extra
     left, right = verify_reduction_identity(nu, delta, area_v, cen_v)
     assert left == right
+
+
+# Reference for cen_G_formula: the closed form N_disp / (3 w B) as it was
+# evaluated before, through BiPoly.__call__ and three Fraction operations.
+
+def ref_cen_G_formula(w, z):
+    p = polys()
+    if all(isinstance(v, (int, Fraction)) for v in (w, z)):
+        wf, zf = F(w), F(z)
+        if wf <= 0:
+            raise DomainError("cap height w must be positive")
+        den = 3 * wf * p["B"](wf, zf)
+        assert den > 0
+        return p["N_disp"](wf, zf) / den
+    wf, zf = float(w), float(z)
+    if wf <= 0:
+        raise DomainError("cap height w must be positive")
+    den = 3.0 * wf * p["B"](wf, zf)
+    assert den > 0
+    return p["N_disp"](wf, zf) / den
+
+
+def value_or_error(fn, *args):
+    try:
+        got = fn(*args)
+    except Exception as e:  # noqa: BLE001 - compared, not swallowed
+        # pytest rewrites the reference's assert to carry a message
+        return "raises", type(e), \
+            None if isinstance(e, AssertionError) else str(e)
+    return got, type(got)
+
+
+def big_rationals(lo, hi):
+    """Rationals in [lo, hi] with denominators of up to 30 digits."""
+    return st.integers(1, 10 ** 30).flatmap(
+        lambda d: st.integers(lo * d, hi * d).map(lambda k: F(k, d)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(big_rationals(-1, 3), st.integers(-2, 3),
+                 st.sampled_from([0, 1, 2, F(0), F(1), F(2), 1.0, 2.0]),
+                 st.floats(-1, 3)),
+       st.one_of(big_rationals(-2, 2), st.integers(-3, 3),
+                 st.sampled_from([0, 1, F(0), F(1), 0.0, 1.0]),
+                 st.floats(-2, 2)))
+def test_cen_G_formula_matches_reference(w, z):
+    assert value_or_error(cen_G_formula, w, z) \
+        == value_or_error(ref_cen_G_formula, w, z)

@@ -64,6 +64,28 @@ class TestConvexPolygon:
             poly((0, 0), (2, 0), (1, 1), (2, 2), (0, 2))
         assert (F(1), F(1)) in ei.value.triple
 
+    @pytest.mark.parametrize("k", [-1000, -700, 0, 700, 1000])
+    def test_float_validation_at_any_scale(self, k):
+        # 2**1000 squared overflows a float, 2**-700 squared underflows
+        def pts(*coords):
+            return [Point(math.ldexp(x, k), math.ldexp(y, k))
+                    for x, y in coords]
+
+        p = ConvexPolygon(pts((0, 0), (0, 2), (1, 2 + 1e-13), (2, 2),
+                              (2, 0), (2, 0), (1, 0)))
+        assert len(p) == 4
+        assert set(p.vertices) == set(pts((0, 0), (2, 0), (2, 2), (0, 2)))
+        with pytest.raises(NonConvex) as ei:
+            ConvexPolygon(pts((0, 0), (2, 0), (1, 1), (2, 2), (0, 2)))
+        assert tuple(pts((1, 1))[0]) in ei.value.triple
+        with pytest.raises(DegenerateInput):
+            ConvexPolygon(pts((0, 0), (1, 1), (2, 2)))
+        area, cen = area_and_centroid(ConvexPolygon(pts((0, 0), (3, 0),
+                                                        (0, 3))))
+        assert cen == pts((1, 1))[0]
+        assert area == (math.ldexp(4.5, 2 * k) if abs(k) < 500
+                        else math.inf if k > 0 else 0.0)
+
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateInput):
             poly((0, 0), (1, 1), (2, 2))

@@ -13,6 +13,7 @@ from hexacent.geom_core import (
     area_and_centroid,
     convex_hull,
     polygon_area2,
+    scale_point,
 )
 from hexacent import hexagon
 from hexacent.centroid_bound import check_theorem
@@ -271,6 +272,49 @@ def test_float_inscription_is_translation_invariant(coords, shift):
     assert abs(chk.gauge_value - chk_m.gauge_value) \
         <= 1e-9 + 100 * ulp / _min_width(body)
 
+
+
+def scaled(p, k):
+    return Point(math.ldexp(p.x, k), math.ldexp(p.y, k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+                min_size=3, max_size=14),
+       st.integers(-900, 900), st.booleans())
+@example([(0, 0), (1, 0), (0, 1)], 532, True)
+@example([(0, 0), (3, 0), (4, 2), (1, 3)], -665, False)
+def test_inscription_scales_with_the_body(coords, k, exact):
+    try:
+        hull = convex_hull([P(x, y) for x, y in coords])
+    except DegenerateInput:
+        return
+    if exact:
+        body = hull
+        big = ConvexPolygon([scale_point(v, k) for v in hull])
+    else:
+        body = ConvexPolygon([Point(float(v.x), float(v.y)) for v in hull])
+        big = ConvexPolygon([scaled(v, k) for v in body])
+        # validation keeps the same vertices at every scale
+        assert big.vertices == [scaled(v, k) for v in body]
+    fit, fit_k = inscribe(body), inscribe(big)
+    # a power of two is exact: the fit of the scaled body is the fit of
+    # the body, scaled, to the last bit
+    h, h_k = fit.hexagon, fit_k.hexagon
+    for p, q in ((h.c, h_k.c), (h.u, h_k.u), (h.v, h_k.v)):
+        assert scaled(p, k) == q
+    assert fit_k.angle == fit.angle
+    for a, b in ((fit.edge_half_length, fit_k.edge_half_length),
+                 (fit.alignment_error, fit_k.alignment_error),
+                 (fit.residual, fit_k.residual)):
+        assert math.ldexp(a, k) == b
+    assert (fit_k.evaluations, fit_k.bracket) \
+        == (fit.evaluations, fit.bracket)
+    chk, chk_k = check_theorem(body, fit=fit), check_theorem(big, fit=fit_k)
+    assert chk.verdict == chk_k.verdict == "contained"
+    assert chk_k.gauge_value == chk.gauge_value
+    assert chk_k.w_extracted == chk.w_extracted
+    assert chk_k.centroid == scaled(chk.centroid, k)
 
 # Reference for the chord table of _Frame: the O(n log n) construction it
 # replaced, with one _interp (a bisect) per breakpoint and the extremes and

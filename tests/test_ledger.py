@@ -1,7 +1,11 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from hexacent import cli
+from hexacent.io_json import dump_ledger
 from hexacent.proof_verifier.ledger import (
     claim_ids,
     run_claim,
@@ -9,6 +13,9 @@ from hexacent.proof_verifier.ledger import (
 )
 
 F = Fraction
+
+# what `hexacent verify-proof` prints with its default options
+GOLDEN = Path(__file__).parent / "golden" / "verify_proof.json"
 
 EXPECTED_ERRATA = {
     "P3": "eq4-middle-term",
@@ -79,6 +86,22 @@ class TestFullRun:
         assert e.data["margin"] == "0"
         assert e.data["gauge_of_centroid"] == "4/21"
         assert e.data["centroid"] == ["0", "4/21"]
+
+    def test_json_is_the_golden_output(self, full_ledger):
+        out = json.dumps(dump_ledger(full_ledger), indent=2) + "\n"
+        assert out.encode() == GOLDEN.read_bytes()
+
+    def test_cli_prints_the_golden_output(self, full_ledger, monkeypatch,
+                                          capsys):
+        # the CLI's own ledger run would repeat the fixture's, whose
+        # defaults it must pass
+        def run(budget, depth):
+            assert (budget, depth) == (10 ** 6, 30)
+            return full_ledger
+
+        monkeypatch.setattr(cli, "run_full_verification", run)
+        assert cli.dispatch(["verify-proof"]) == 0
+        assert capsys.readouterr().out.encode() == GOLDEN.read_bytes()
 
     def test_grid_entry_counts(self, full_ledger):
         assert full_ledger.entry("P1").data["mismatches"] == "0"
