@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from .centroid_bound import RATIO, check_theorem, monte_carlo
-from .geom_core import GeomError, Line, Point, on_segment
+from .geom_core import ConvexPolygon, GeomError, Line, Point, on_segment
 from .hexagon import AffineRegularHexagon, InscriptionFailed, inscribe
 from .io_json import (
     dump_bound_report,
@@ -60,13 +60,19 @@ def _read_polygon(path, mode):
 
 
 def _coerce(poly, mode):
-    from .geom_core import ConvexPolygon
     if mode == "float" and poly.exact:
         try:
             pts = [Point(float(v.x), float(v.y)) for v in poly.vertices]
         except OverflowError:
             raise _CliError("coordinates exceed the float range")
-        return ConvexPolygon(pts)
+        try:
+            return ConvexPolygon(pts)
+        except GeomError:
+            # a coordinate that fell to 0.0 may be what broke the body
+            if any(f == 0 != t for p, v in zip(pts, poly.vertices)
+                   for f, t in zip(p, v)):
+                raise _CliError("body coordinates fall below the float range")
+            raise
     if mode == "exact" and not poly.exact:
         raise _CliError("exact mode needs rational coordinates "
                         "(\"p/q\" or integer strings)")
@@ -93,6 +99,13 @@ def _snap_hexagon(body, fit):
     return None
 
 
+def _inscribe(body):
+    """The floating fit of the body, and the snapped exact hexagon of an
+    exact body or None."""
+    fit = inscribe(body)
+    return fit, _snap_hexagon(body, fit)
+
+
 def _emit(obj, text_lines, fmt):
     if fmt == "json":
         print(json.dumps(obj, indent=2))
@@ -102,9 +115,7 @@ def _emit(obj, text_lines, fmt):
 
 
 def _cmd_inscribe(args):
-    body = _read_polygon(args.polygon, args.mode)
-    fit = inscribe(body)
-    hexa = _snap_hexagon(body, fit) if args.mode == "exact" else None
+    fit, hexa = _inscribe(_read_polygon(args.polygon, args.mode))
     out = {"fit": dump_fit(fit)}
     lines = ["inscribed hexagon (floating fit):",
              "  center %s  u %s  v %s" % (fit.hexagon.c, fit.hexagon.u,
@@ -128,8 +139,7 @@ def _cmd_check(args):
         raise _CliError("bad ratio %r, expected p/q" % (args.ratio,))
     if ratio <= 0:
         raise _CliError("ratio must be positive")
-    fit = inscribe(body)
-    hexa = _snap_hexagon(body, fit) if args.mode == "exact" else None
+    fit, hexa = _inscribe(body)
     if hexa is not None:
         rep = check_theorem(body, ratio=ratio, hexagon=hexa)
     else:
@@ -230,13 +240,8 @@ def _cmd_stress(args):
 
 def _cmd_render(args):
     body = _read_polygon(args.polygon, args.mode)
-    fit = inscribe(body)
-    hexa = None
-    if args.mode == "exact":
-        hexa = _snap_hexagon(body, fit)
-    if hexa is None:
-        hexa = fit.hexagon
-    doc = render_svg(body, hexa,
+    fit, hexa = _inscribe(body)
+    doc = render_svg(body, hexa or fit.hexagon,
                      show_hexagon=args.hexagon,
                      show_star=args.star,
                      show_centroid=args.centroid,

@@ -1,7 +1,7 @@
 """Mechanical re-verification of the centroid-bound analysis: exact
-polynomial arithmetic, certified sign checks on boxes and triangles, root
-isolation, outward-rounded interval evaluation, and a claim ledger that
-records where re-derivation disagrees with the printed source formulas."""
+polynomial arithmetic, certified sign checks on intervals, boxes and
+triangles, root isolation, and a claim ledger that records where
+re-derivation disagrees with the printed source formulas."""
 
 from .bipoly import BiPoly, UniPoly
 from .certify import Region, SignCertificate, certify_sign, critical_points

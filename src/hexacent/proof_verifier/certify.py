@@ -72,8 +72,9 @@ class SignCertificate:
     max_depth: int
 
 
-def _bernstein_1d(p, a, b):
+def _bernstein_1d(p, interval):
     """Bernstein coefficients of p on [a, b]; b_0 = p(a), b_n = p(b)."""
+    a, b = interval
     q = p.compose_linear(a, b - a)
     cs = q.coeffs
     n = max(len(cs) - 1, 0)
@@ -106,10 +107,10 @@ def _unit_square_coeffs(p, box):
 
 
 def _bernstein_2d(p, box):
+    """Bernstein coefficients of p on the box, flattened row by row."""
     A, m, n = _unit_square_coeffs(p, box)
     out = []
     for k in range(m + 1):
-        row = []
         for l in range(n + 1):
             s = Fraction(0)
             for i in range(k + 1):
@@ -118,8 +119,7 @@ def _bernstein_2d(p, box):
                     if a:
                         s += Fraction(comb(k, i) * comb(l, j),
                                       comb(m, i) * comb(n, j)) * a
-            row.append(s)
-        out.append(row)
+            out.append(s)
     return out
 
 
@@ -148,12 +148,17 @@ def _tri_inside(tri, pt):
     return True
 
 
+def _tri_bbox(tri):
+    xs = [v[0] for v in tri]
+    ys = [v[1] for v in tri]
+    return min(xs), max(xs), min(ys), max(ys)
+
+
 def _tri_box_disjoint(tri, box):
     """Exact separating-axis test between a triangle and a box."""
     w1, w2, z1, z2 = box
-    xs = [v[0] for v in tri]
-    ys = [v[1] for v in tri]
-    if max(xs) < w1 or min(xs) > w2 or max(ys) < z1 or min(ys) > z2:
+    lo_x, hi_x, lo_y, hi_y = _tri_bbox(tri)
+    if hi_x < w1 or lo_x > w2 or hi_y < z1 or lo_y > z2:
         return True
     corners = ((w1, z1), (w2, z1), (w1, z2), (w2, z2))
     for i in range(3):
@@ -162,6 +167,35 @@ def _tri_box_disjoint(tri, box):
                for x, y in corners):
             return True
     return False
+
+
+def _interval_samples(interval):
+    a, b = interval
+    return (a,), ((a + b) / 2,), (b,)
+
+
+def _split_interval(interval):
+    a, b = interval
+    mid = (a + b) / 2
+    return (a, mid), (mid, b)
+
+
+def _parts(region):
+    """The region kind's parts of the subdivision: start piece, sample
+    points inside a piece, Bernstein coefficients, split, and a discard
+    test (None when no piece is discarded)."""
+    if region.kind == "interval":
+        return (region.data, _interval_samples, _bernstein_1d,
+                _split_interval, None)
+    if region.kind == "box":
+        return region.data, _box_samples, _bernstein_2d, _split_box, None
+    tri = region.data
+
+    def samples(box):
+        return (pt for pt in _box_samples(box) if _tri_inside(tri, pt))
+
+    return (_tri_bbox(tri), samples, _bernstein_2d, _split_box,
+            lambda box: _tri_box_disjoint(tri, box))
 
 
 def certify_sign(p, region, relation, budget=10 ** 6, max_depth=30):
@@ -175,107 +209,33 @@ def certify_sign(p, region, relation, budget=10 ** 6, max_depth=30):
     if region.kind == "interval":
         if not isinstance(p, UniPoly):
             raise TypeError("interval region needs a univariate polynomial")
-        return _certify_interval(p, region, relation, budget, max_depth)
-    if not isinstance(p, BiPoly):
+    elif not isinstance(p, BiPoly):
         raise TypeError("box/triangle region needs a bivariate polynomial")
-    if region.kind == "box":
-        return _certify_box(p, region, relation, budget, max_depth)
-    return _certify_triangle(p, region, relation, budget, max_depth)
-
-
-def _certify_interval(p, region, relation, budget, max_depth):
-    stack = [(region.data[0], region.data[1], 0)]
+    start, samples, bernstein, split, discard = _parts(region)
+    stack = [(start, 0)]
     examined = 0
     deepest = 0
-    exhausted = False
+    status = "Proved"
     while stack:
         if examined >= budget:
-            exhausted = True
+            status = "Inconclusive"
             break
-        a, b, d = stack.pop()
+        piece, d = stack.pop()
         examined += 1
         deepest = max(deepest, d)
-        for x in (a, (a + b) / 2, b):
-            v = p(x)
+        if discard is not None and discard(piece):
+            continue
+        for pt in samples(piece):
+            v = p(*pt)
             if not _satisfies(v, relation):
                 return SignCertificate(relation, region, "Disproved",
-                                       ((x,), v), examined, deepest)
-        bern = _bernstein_1d(p, a, b)
-        if all(_satisfies(c, relation) for c in bern):
+                                       (pt, v), examined, deepest)
+        if all(_satisfies(c, relation) for c in bernstein(p, piece)):
             continue
         if d >= max_depth:
-            exhausted = True
+            status = "Inconclusive"
             break
-        mid = (a + b) / 2
-        stack.append((a, mid, d + 1))
-        stack.append((mid, b, d + 1))
-    status = "Inconclusive" if exhausted else "Proved"
-    return SignCertificate(relation, region, status, None, examined, deepest)
-
-
-def _certify_box(p, region, relation, budget, max_depth):
-    stack = [(region.data, 0)]
-    examined = 0
-    deepest = 0
-    exhausted = False
-    while stack:
-        if examined >= budget:
-            exhausted = True
-            break
-        box, d = stack.pop()
-        examined += 1
-        deepest = max(deepest, d)
-        for w, z in _box_samples(box):
-            v = p(w, z)
-            if not _satisfies(v, relation):
-                return SignCertificate(relation, region, "Disproved",
-                                       ((w, z), v), examined, deepest)
-        bern = _bernstein_2d(p, box)
-        if all(_satisfies(c, relation) for row in bern for c in row):
-            continue
-        if d >= max_depth:
-            exhausted = True
-            break
-        b1, b2 = _split_box(box)
-        stack.append((b1, d + 1))
-        stack.append((b2, d + 1))
-    status = "Inconclusive" if exhausted else "Proved"
-    return SignCertificate(relation, region, status, None, examined, deepest)
-
-
-def _certify_triangle(p, region, relation, budget, max_depth):
-    tri = region.data
-    xs = [v[0] for v in tri]
-    ys = [v[1] for v in tri]
-    stack = [((min(xs), max(xs), min(ys), max(ys)), 0)]
-    examined = 0
-    deepest = 0
-    exhausted = False
-    while stack:
-        if examined >= budget:
-            exhausted = True
-            break
-        box, d = stack.pop()
-        examined += 1
-        deepest = max(deepest, d)
-        if _tri_box_disjoint(tri, box):
-            continue
-        for w, z in _box_samples(box):
-            if _tri_inside(tri, (w, z)):
-                v = p(w, z)
-                if not _satisfies(v, relation):
-                    return SignCertificate(relation, region, "Disproved",
-                                           ((w, z), v), examined, deepest)
-        bern = _bernstein_2d(p, box)
-        if all(_satisfies(c, relation) for row in bern for c in row):
-            continue
-        if d >= max_depth:
-            exhausted = True
-            break
-        b1, b2 = _split_box(box)
-        stack.append((b1, d + 1))
-        stack.append((b2, d + 1))
-    status = "Inconclusive" if exhausted else "Proved"
+        stack.extend((half, d + 1) for half in split(piece))
     return SignCertificate(relation, region, status, None, examined, deepest)
 
 
@@ -365,9 +325,7 @@ def critical_points(p, region):
                 vertices.append((float(w), float(z), float(p(w, z))))
     elif region.kind == "triangle":
         tri = region.data
-        xs = [v[0] for v in tri]
-        ys = [v[1] for v in tri]
-        _interior_candidates(min(xs), max(xs), min(ys), max(ys),
+        _interior_candidates(*_tri_bbox(tri),
                              lambda w, z: _tri_inside(tri, (w, z)))
         for i in range(3):
             (x1, y1), (x2, y2) = tri[i], tri[(i + 1) % 3]

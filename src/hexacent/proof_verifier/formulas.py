@@ -298,29 +298,33 @@ def chain_identities():
     return out
 
 
-def _exact_inputs(*vals):
-    return all(isinstance(v, (int, Fraction)) for v in vals)
+def _cap_args(w, *rest):
+    """(w, *rest) as Fractions when all are exact (int or Fraction), as
+    floats otherwise; DomainError unless the cap height w is positive."""
+    vals = (w,) + rest
+    if all(isinstance(v, (int, Fraction)) for v in vals):
+        vals = tuple(map(as_fraction, vals))
+    else:
+        vals = tuple(map(float, vals))
+    if vals[0] <= 0:
+        raise DomainError("cap height w must be positive")
+    return vals
 
 
 def cen_G_formula(w, z):
     """Centroid height of G(w, z) by the closed form cleared of
     denominators; exact Fraction for exact inputs, float otherwise."""
     p = polys()
-    if _exact_inputs(w, z):
-        wf, zf = as_fraction(w), as_fraction(z)
-        if wf <= 0:
-            raise DomainError("cap height w must be positive")
+    w, z = _cap_args(w, z)
+    if isinstance(w, Fraction):
         # N / (3 w B) with N = nn/nd, w = a/b and B = bn/bd, in one division
-        nn, nd = p["N_disp"].num_den(wf, zf)
-        bn, bd = p["B"].num_den(wf, zf)
+        nn, nd = p["N_disp"].num_den(w, z)
+        bn, bd = p["B"].num_den(w, z)
         assert bn > 0
-        return F(nn * wf.denominator * bd, 3 * wf.numerator * bn * nd)
-    wf, zf = float(w), float(z)
-    if wf <= 0:
-        raise DomainError("cap height w must be positive")
-    den = 3.0 * wf * p["B"](wf, zf)
+        return F(nn * w.denominator * bd, 3 * w.numerator * bn * nd)
+    den = 3 * w * p["B"](w, z)
     assert den > 0
-    return p["N_disp"](wf, zf) / den
+    return p["N_disp"](w, z) / den
 
 
 def dcenG_dz(w, z):
@@ -328,18 +332,10 @@ def dcenG_dz(w, z):
     quadratic).  The quadratic q satisfies d/dz = 2(w-2) q / (3 w B^2), so
     its sign against (w-2) gives the slope sign without cancellation."""
     p = polys()
-    if _exact_inputs(w, z):
-        wf, zf = F(w), F(z)
-        if wf <= 0:
-            raise DomainError("cap height w must be positive")
-        b = p["B"](wf, zf)
-        assert b > 0
-        return p["R"](wf, zf) / (3 * wf * b * b), p["q"]
-    wf, zf = float(w), float(z)
-    if wf <= 0:
-        raise DomainError("cap height w must be positive")
-    b = p["B"](wf, zf)
-    return p["R"](wf, zf) / (3.0 * wf * b * b), p["q"]
+    w, z = _cap_args(w, z)
+    b = p["B"](w, z)
+    assert b > 0
+    return p["R"](w, z) / (3 * w * b * b), p["q"]
 
 
 def margin_pair(w, z):
@@ -367,29 +363,15 @@ def cap_pair(w, z):
 def wedge_centroid_height(w, z):
     """Centroid height of the wing wedge (cap corner, right hexagon vertex,
     full-wing tip): (z(2-2w) + 2) / (3w)."""
-    if _exact_inputs(w, z):
-        wf, zf = F(w), F(z)
-        if wf <= 0:
-            raise DomainError("cap height w must be positive")
-        return (zf * (2 - 2 * wf) + 2) / (3 * wf)
-    wf, zf = float(w), float(z)
-    if wf <= 0:
-        raise DomainError("cap height w must be positive")
-    return (zf * (2.0 - 2.0 * wf) + 2.0) / (3.0 * wf)
+    w, z = _cap_args(w, z)
+    return (z * (2 - 2 * w) + 2) / (3 * w)
 
 
 def pentagon_centroid_height(w):
     """Centroid height of the pentagon slice z = 1 of the family."""
     p = polys()
-    if _exact_inputs(w):
-        wf = F(w)
-        if wf <= 0:
-            raise DomainError("cap height w must be positive")
-        return p["pentagon_P"](wf) / (3 * wf * p["pentagon_B"](wf))
-    wf = float(w)
-    if wf <= 0:
-        raise DomainError("cap height w must be positive")
-    return p["pentagon_P"](wf) / (3.0 * wf * p["pentagon_B"](wf))
+    w, = _cap_args(w)
+    return p["pentagon_P"](w) / (3 * w * p["pentagon_B"](w))
 
 
 _W0 = None
@@ -397,21 +379,13 @@ _W0 = None
 
 def w0():
     """Cap height where the maximizing z reaches 1: the root in [1, 2] of
-    w^3 + w^2 - 2w - 4, by the depressed-cubic closed form plus a Newton
-    polish; the residual is checked."""
+    w^3 + w^2 - 2w - 4, as the float of the midpoint of an exact bracket
+    of width 1e-17."""
     global _W0
-    if _W0 is not None:
-        return _W0
-    s = math.sqrt(177.0)
-    val = ((44.0 - 3.0 * s) ** (1.0 / 3.0)
-           + (44.0 + 3.0 * s) ** (1.0 / 3.0) - 1.0) / 3.0
-    for _ in range(2):
-        f = ((val + 1.0) * val - 2.0) * val - 4.0
-        fp = (3.0 * val + 2.0) * val - 2.0
-        val -= f / fp
-    assert abs(((val + 1.0) * val - 2.0) * val - 4.0) <= 1e-12
-    _W0 = val
-    return val
+    if _W0 is None:
+        lo, hi = bisect_root(polys()["e0"], F(1), F(2), width=F(1, 10 ** 17))
+        _W0 = float((lo + hi) / 2)
+    return _W0
 
 
 _W0_BRACKET = None

@@ -19,20 +19,6 @@ HEIGHT = 450
 PAD = 0.05
 
 
-def _star_points(hexagon):
-    """The 12-gon outline of the hexagram: hexagon vertices alternating
-    with the star tips (sums of adjacent vertex offsets from the center)."""
-    c = hexagon.c
-    verts = hexagon.vertices
-    out = []
-    for i in range(6):
-        a, b = verts[i], verts[(i + 1) % 6]
-        out.append(a)
-        tip_off = (a - c) + (b - c)
-        out.append(c + tip_off)
-    return out
-
-
 class _View:
     """World-to-pixel map: uniform scale, centered, y flipped."""
 
@@ -84,7 +70,7 @@ def render_svg(body, hexagon, show_hexagon=False, show_star=False,
     ratio scales the containment region drawn by the centroid overlay;
     it defaults to 4/21 at the call site.
     """
-    star = _star_points(hexagon)
+    star = hexagon.star_vertices()
     view = _View(star)
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" '
              'height="%d" viewBox="0 0 %d %d">' % (WIDTH, HEIGHT,

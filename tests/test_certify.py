@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,17 @@ from hypothesis import strategies as st
 
 from hexacent.proof_verifier.bipoly import BiPoly, UniPoly
 from hexacent.proof_verifier.certify import (
+    RELATIONS,
     Region,
+    SignCertificate,
+    _bernstein_1d,
+    _bernstein_2d,
+    _box_samples,
+    _satisfies,
+    _split_box,
+    _tri_bbox,
+    _tri_box_disjoint,
+    _tri_inside,
     certify_sign,
     critical_points,
 )
@@ -167,3 +178,188 @@ def test_linear_sign_certificates_match_truth(a, b):
     lo = a + b
     cert = certify_sign(p, Region.box(lo + 1, lo + 2, 0, 1), ">0")
     assert cert.status == "Proved"
+
+
+# Reference: the three subdivision loops certify_sign ran before they were
+# merged into one, kept as they were apart from the call forms of the
+# Bernstein helpers (an interval piece is passed as one pair, and the 2-D
+# coefficients come flattened).
+
+def ref_certify_sign(p, region, relation, budget=10 ** 6, max_depth=30):
+    if region.kind == "interval":
+        return _ref_interval(p, region, relation, budget, max_depth)
+    if region.kind == "box":
+        return _ref_box(p, region, relation, budget, max_depth)
+    return _ref_triangle(p, region, relation, budget, max_depth)
+
+
+def _ref_interval(p, region, relation, budget, max_depth):
+    stack = [(region.data[0], region.data[1], 0)]
+    examined = 0
+    deepest = 0
+    exhausted = False
+    while stack:
+        if examined >= budget:
+            exhausted = True
+            break
+        a, b, d = stack.pop()
+        examined += 1
+        deepest = max(deepest, d)
+        for x in (a, (a + b) / 2, b):
+            v = p(x)
+            if not _satisfies(v, relation):
+                return SignCertificate(relation, region, "Disproved",
+                                       ((x,), v), examined, deepest)
+        bern = _bernstein_1d(p, (a, b))
+        if all(_satisfies(c, relation) for c in bern):
+            continue
+        if d >= max_depth:
+            exhausted = True
+            break
+        mid = (a + b) / 2
+        stack.append((a, mid, d + 1))
+        stack.append((mid, b, d + 1))
+    status = "Inconclusive" if exhausted else "Proved"
+    return SignCertificate(relation, region, status, None, examined, deepest)
+
+
+def _ref_box(p, region, relation, budget, max_depth):
+    stack = [(region.data, 0)]
+    examined = 0
+    deepest = 0
+    exhausted = False
+    while stack:
+        if examined >= budget:
+            exhausted = True
+            break
+        box, d = stack.pop()
+        examined += 1
+        deepest = max(deepest, d)
+        for w, z in _box_samples(box):
+            v = p(w, z)
+            if not _satisfies(v, relation):
+                return SignCertificate(relation, region, "Disproved",
+                                       ((w, z), v), examined, deepest)
+        bern = _bernstein_2d(p, box)
+        if all(_satisfies(c, relation) for c in bern):
+            continue
+        if d >= max_depth:
+            exhausted = True
+            break
+        b1, b2 = _split_box(box)
+        stack.append((b1, d + 1))
+        stack.append((b2, d + 1))
+    status = "Inconclusive" if exhausted else "Proved"
+    return SignCertificate(relation, region, status, None, examined, deepest)
+
+
+def _ref_triangle(p, region, relation, budget, max_depth):
+    tri = region.data
+    xs = [v[0] for v in tri]
+    ys = [v[1] for v in tri]
+    stack = [((min(xs), max(xs), min(ys), max(ys)), 0)]
+    examined = 0
+    deepest = 0
+    exhausted = False
+    while stack:
+        if examined >= budget:
+            exhausted = True
+            break
+        box, d = stack.pop()
+        examined += 1
+        deepest = max(deepest, d)
+        if _tri_box_disjoint(tri, box):
+            continue
+        for w, z in _box_samples(box):
+            if _tri_inside(tri, (w, z)):
+                v = p(w, z)
+                if not _satisfies(v, relation):
+                    return SignCertificate(relation, region, "Disproved",
+                                           ((w, z), v), examined, deepest)
+        bern = _bernstein_2d(p, box)
+        if all(_satisfies(c, relation) for c in bern):
+            continue
+        if d >= max_depth:
+            exhausted = True
+            break
+        b1, b2 = _split_box(box)
+        stack.append((b1, d + 1))
+        stack.append((b2, d + 1))
+    status = "Inconclusive" if exhausted else "Proved"
+    return SignCertificate(relation, region, status, None, examined, deepest)
+
+
+def _random_case(rng, kind):
+    """A polynomial, a region of the kind, a relation, a budget and a depth
+    cap.  Half the polynomials are a square about a point of the region's
+    bounding box plus a small shift, whose sign takes subdivision to
+    settle, so that every status turns up."""
+    def q():
+        return F(rng.randint(-12, 12), rng.randint(1, 4))
+
+    def near(lo, hi):
+        return lo + (hi - lo) * F(rng.randint(0, 7), 7)
+
+    if kind == "interval":
+        lo = q()
+        region = Region.interval(lo, lo + F(rng.randint(1, 8), 4))
+    elif kind == "box":
+        w1, z1 = q(), q()
+        region = Region.box(w1, w1 + F(rng.randint(1, 8), 4),
+                            z1, z1 + F(rng.randint(1, 8), 4))
+    else:
+        while True:
+            try:
+                # Region.triangle takes the vertices in either orientation
+                region = Region.triangle(*((q(), q()) for _ in range(3)))
+                break
+            except ValueError:
+                continue
+    shift = rng.choice([F(-1, 50), 0, F(1, 50), F(1, 4)])
+    square = rng.random() < 0.5
+    if kind == "interval":
+        if square:
+            x = UniPoly([-near(*region.data), F(1)])
+            p = x * x + UniPoly([shift])
+        else:
+            p = UniPoly([F(rng.randint(-8, 8))] + [
+                F(rng.randint(-3, 3)) for _ in range(rng.randint(0, 3))])
+    elif square:
+        w1, w2, z1, z2 = (region.data if kind == "box"
+                          else _tri_bbox(region.data))
+        p = (W - near(w1, w2)) ** 2 + (Z - near(z1, z2)) ** 2 \
+            + BiPoly.const(shift)
+    else:
+        p = BiPoly({(i, j): F(rng.randint(-3, 3)) for i in range(3)
+                    for j in range(3) if i + j <= 2})
+        p = p + BiPoly.const(rng.randint(-8, 8))
+    relation = rng.choice(RELATIONS)
+    budget = rng.choice([1, 2, 5, 40, 10 ** 6])
+    depth = rng.choice([0, 1, 3, 6])
+    return p, region, relation, budget, depth
+
+
+@pytest.mark.parametrize("kind", ["interval", "box", "triangle"])
+def test_merged_loop_matches_reference(kind):
+    rng = random.Random(kind)
+    statuses, relations, ends = set(), set(), set()
+    for _ in range(200):
+        p, region, relation, budget, depth = _random_case(rng, kind)
+        got = certify_sign(p, region, relation, budget, depth)
+        want = ref_certify_sign(p, region, relation, budget, depth)
+        assert (got.status, got.witness, got.boxes_examined, got.max_depth) \
+            == (want.status, want.witness, want.boxes_examined,
+                want.max_depth)
+        assert (got.relation, got.region) == (relation, region)
+        statuses.add(got.status)
+        relations.add(relation)
+        if got.status == "Inconclusive":
+            # the budget ran out before the depth cap was reached, or the
+            # depth cap stopped the run with budget to spare
+            if got.max_depth < depth:
+                ends.add("budget")
+            if got.boxes_examined < budget:
+                ends.add("depth")
+    assert statuses == {"Proved", "Disproved", "Inconclusive"}
+    assert relations == set(RELATIONS)
+    assert ends == {"budget", "depth"}

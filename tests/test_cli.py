@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ TIGHT = {"vertices": [["0", "2"], ["-2", "0"], ["-1", "-1"],
 NONCONVEX = {"vertices": [["0", "0"], ["2", "0"], ["1", "1/2"], ["0", "2"]]}
 FLOAT_BOX = {"vertices": [["0.0", "0.0"], ["4.0", "0.0"],
                           ["4.0", "3.0"], ["0.0", "3.0"]]}
+QUAD = {"vertices": [["0", "0"], ["3", "0"], ["4", "2"], ["1", "3"]]}
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -142,6 +145,27 @@ class TestCheck:
         assert float(doc["centroid"][0]) == float(Fraction(leg) / 3)
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_body_below_float_range_exits_2(self, capsys, tmp_path, mode):
+        # legs of 10**-400: every nonzero coordinate is 0.0 as a float
+        leg = "1/1" + "0" * 400
+        p = tmp_path / "tiny.json"
+        p.write_text(json.dumps({"vertices": [
+            ["0", "0"], [leg, "0"], ["0", leg]]}))
+        code, out, err = run_cli(capsys, "--mode", mode, "check", str(p))
+        assert (code, out) == (2, "")
+        assert err == "error: body coordinates fall below the float range\n"
+
+    def test_float_mode_rounds_a_negligible_coordinate(self, capsys,
+                                                       tmp_path):
+        # 10**-400 is 0.0 as a float, and the unit triangle stays valid
+        p = tmp_path / "tri.json"
+        p.write_text(json.dumps({"vertices": [
+            ["1/1" + "0" * 400, "0"], ["1", "0"], ["0", "1"]]}))
+        code, out, err = run_cli(capsys, "--mode", "float", "check", str(p))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] == "contained"
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_offsets_beyond_float_range_exit_2(self, capsys, tmp_path, mode):
         # each coordinate is a float, but their differences are not
         p = tmp_path / "wide.json"
@@ -265,6 +289,17 @@ class TestRender:
         text = svg_a.decode()
         assert text.count("centroid-marker") == 1
         assert 'data-world="0,4/21"' in text
+
+    def test_float_fit_is_the_golden_svg(self, capsys, tmp_path):
+        p = tmp_path / "quad.json"
+        p.write_text(json.dumps(QUAD))
+        out = tmp_path / "quad.svg"
+        code, _, _ = run_cli(capsys, "--mode", "float", "render", str(p),
+                             "--hexagon", "--star", "--centroid",
+                             "-o", str(out))
+        assert code == 0
+        assert out.read_bytes() == \
+            (GOLDEN / "render_quad_float.svg").read_bytes()
 
     def test_body_only(self, capsys, tight_path, tmp_path):
         out = tmp_path / "plain.svg"

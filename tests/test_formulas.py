@@ -250,3 +250,89 @@ def big_rationals(lo, hi):
 def test_cen_G_formula_matches_reference(w, z):
     assert value_or_error(cen_G_formula, w, z) \
         == value_or_error(ref_cen_G_formula, w, z)
+
+
+# References for dcenG_dz, wedge_centroid_height and
+# pentagon_centroid_height: their exact and float branches as they were
+# written before one coercion helper replaced them.
+
+def _ref_exact(*vals):
+    return all(isinstance(v, (int, Fraction)) for v in vals)
+
+
+def ref_dcenG_dz(w, z):
+    p = polys()
+    if _ref_exact(w, z):
+        wf, zf = F(w), F(z)
+        if wf <= 0:
+            raise DomainError("cap height w must be positive")
+        b = p["B"](wf, zf)
+        assert b > 0
+        return p["R"](wf, zf) / (3 * wf * b * b), p["q"]
+    wf, zf = float(w), float(z)
+    if wf <= 0:
+        raise DomainError("cap height w must be positive")
+    b = p["B"](wf, zf)
+    return p["R"](wf, zf) / (3.0 * wf * b * b), p["q"]
+
+
+def ref_wedge_centroid_height(w, z):
+    if _ref_exact(w, z):
+        wf, zf = F(w), F(z)
+        if wf <= 0:
+            raise DomainError("cap height w must be positive")
+        return (zf * (2 - 2 * wf) + 2) / (3 * wf)
+    wf, zf = float(w), float(z)
+    if wf <= 0:
+        raise DomainError("cap height w must be positive")
+    return (zf * (2.0 - 2.0 * wf) + 2.0) / (3.0 * wf)
+
+
+def ref_pentagon_centroid_height(w):
+    p = polys()
+    if _ref_exact(w):
+        wf = F(w)
+        if wf <= 0:
+            raise DomainError("cap height w must be positive")
+        return p["pentagon_P"](wf) / (3 * wf * p["pentagon_B"](wf))
+    wf = float(w)
+    if wf <= 0:
+        raise DomainError("cap height w must be positive")
+    return p["pentagon_P"](wf) / (3.0 * wf * p["pentagon_B"](wf))
+
+
+cap_heights = st.one_of(big_rationals(-1, 3), st.integers(-2, 3),
+                        st.sampled_from([0, 1, 2, F(0), F(1), F(2), 1.0,
+                                         2.0, True]),
+                        st.floats(-1, 3))
+cap_params = st.one_of(big_rationals(-2, 2), st.integers(-3, 3),
+                       st.sampled_from([0, 1, F(0), F(1), 0.0, 1.0]),
+                       st.floats(-2, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cap_heights, cap_params)
+def test_dcenG_dz_matches_reference(w, z):
+    want = value_or_error(ref_dcenG_dz, w, z)
+    if want[0] != "raises" and isinstance(want[0][0], float) \
+            and not polys()["B"](float(w), float(z)) > 0:
+        # outside the family (B <= 0) the float path now keeps the exact
+        # path's assertion, as cen_G_formula does in both
+        want = "raises", AssertionError, None
+    assert value_or_error(dcenG_dz, w, z) == want
+    if want[0] != "raises":
+        assert type(dcenG_dz(w, z)[0]) is type(want[0][0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(cap_heights, cap_params)
+def test_wedge_centroid_height_matches_reference(w, z):
+    assert value_or_error(wedge_centroid_height, w, z) \
+        == value_or_error(ref_wedge_centroid_height, w, z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cap_heights)
+def test_pentagon_centroid_height_matches_reference(w):
+    assert value_or_error(pentagon_centroid_height, w) \
+        == value_or_error(ref_pentagon_centroid_height, w)
